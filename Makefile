@@ -35,7 +35,8 @@ bench:
 
 # Regression gate: run the suite into BENCH_check.json, then (a) fail if a
 # gated benchmark (BenchmarkInvoke*/BenchmarkDurableTick/
-# BenchmarkDeltaInvocation*) regressed >20% against the previous report —
+# BenchmarkDeltaInvocation*/BenchmarkAggregate*/BenchmarkDeltaAggregate*)
+# regressed >20% against the previous report —
 # missing or cross-machine baselines pass with a warning (cmd/benchfmt
 # -diff) — (b) fail unless the incremental evaluator beats the naive one at
 # every window size of the sweep, and (c) fail unless N readers over one
@@ -76,7 +77,8 @@ chaos:
 experiments:
 	$(GO) run ./cmd/benchrun -exp all
 
-# Quick fuzz pass over the three parsers and the WAL codec.
+# Quick fuzz pass over the three parsers, the WAL codec and the exact
+# float sum behind sum/mean aggregates.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sal/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/ddl/
@@ -84,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScanFrames -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/wal/
+	$(GO) test -fuzz=FuzzExactSum -fuzztime=10s ./internal/algebra/
 
 examples:
 	$(GO) run ./examples/quickstart

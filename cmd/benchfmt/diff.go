@@ -9,10 +9,11 @@ import (
 )
 
 // DefaultDiffKeys selects the benchmarks the regression gate watches: the
-// invocation pipeline, the durable tick path, and the incremental-vs-naive
-// evaluation sweep — the surfaces the batching and delta-evaluation work
+// invocation pipeline, the durable tick path, the incremental-vs-naive
+// evaluation sweep, and both aggregation paths (one-shot and per-change
+// delta) — the surfaces the batching, delta-evaluation and exact-sum work
 // optimize and must not regress.
-const DefaultDiffKeys = `^BenchmarkInvoke|^BenchmarkDurableTick|^BenchmarkDeltaInvocation`
+const DefaultDiffKeys = `^BenchmarkInvoke|^BenchmarkDurableTick|^BenchmarkDeltaInvocation|^BenchmarkAggregate|^BenchmarkDeltaAggregate`
 
 // Regression is one gated benchmark whose ns/op grew past the threshold.
 type Regression struct {

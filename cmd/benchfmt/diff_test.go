@@ -43,6 +43,29 @@ func TestDiffFlagsRegressionsPastThreshold(t *testing.T) {
 	}
 }
 
+func TestDiffGatesAggregation(t *testing.T) {
+	keys := regexp.MustCompile(DefaultDiffKeys)
+	base := report(map[string]float64{
+		"BenchmarkAggregate/n=1000":           360_000,
+		"BenchmarkDeltaAggregate/group=1024":  1_000,
+		"BenchmarkDeltaAggregate/group=16384": 1_000,
+		"BenchmarkOperators/aggregate/n=1000": 100, // not gated
+	})
+	cur := report(map[string]float64{
+		"BenchmarkAggregate/n=1000":           1_920_000, // the 5.3x sort regression
+		"BenchmarkDeltaAggregate/group=1024":  1_100,     // +10% → within threshold
+		"BenchmarkDeltaAggregate/group=16384": 16_000,    // O(group) per change
+		"BenchmarkOperators/aggregate/n=1000": 1_000,
+	})
+	regs := Diff(cur, base, keys, 20)
+	if len(regs) != 2 {
+		t.Fatalf("regressions = %+v, want 2", regs)
+	}
+	if regs[0].Name != "BenchmarkDeltaAggregate/group=16384" || regs[1].Name != "BenchmarkAggregate/n=1000" {
+		t.Fatalf("order = %s, %s", regs[0].Name, regs[1].Name)
+	}
+}
+
 func TestDiffIgnoresUnmatchedBenchmarks(t *testing.T) {
 	keys := regexp.MustCompile(DefaultDiffKeys)
 	base := report(map[string]float64{"BenchmarkInvoke/old": 100})

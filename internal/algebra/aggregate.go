@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
@@ -154,45 +155,39 @@ func Aggregate(r *XRelation, groupBy []string, aggs []AggSpec) (*XRelation, erro
 	if err != nil {
 		return nil, err
 	}
-	aggIdx, err := resolveAggIdx(r.Schema(), aggs)
+	p, err := newAggPlan(r.Schema(), aggs)
 	if err != nil {
 		return nil, err
 	}
-
-	type group struct {
-		key     value.Tuple
-		members []value.Tuple
-	}
-	groups := map[string]*group{}
+	groups := map[string]*groupState{}
 	var order []string
 	for _, t := range r.Tuples() {
 		key := t.Project(keyIdx)
 		k := key.Key()
 		g, ok := groups[k]
 		if !ok {
-			g = &group{key: key}
+			g = p.newGroup(key)
 			groups[k] = g
 			order = append(order, k)
 		}
-		g.members = append(g.members, t)
+		p.update(g, t, 1)
 	}
 	sort.Strings(order)
 	out := Empty(outSch)
 	for _, k := range order {
-		g := groups[k]
-		// Accumulate in key-sorted member order: floating-point sums depend
-		// on accumulation order, and the delta evaluator re-accumulates each
-		// dirty group in this order, so both evaluators must agree on it for
-		// bit-identical results (Definition 9 equivalence).
-		sort.Slice(g.members, func(i, j int) bool { return g.members[i].Key() < g.members[j].Key() })
-		out.add(accumulateGroup(g.key, g.members, aggs, aggIdx))
+		out.add(p.row(groups[k], nil))
 	}
 	return out, nil
 }
 
-// resolveAggIdx maps each aggregate's input attribute to its real
-// coordinate (-1 for count(*), which reads no attribute).
-func resolveAggIdx(sch *schema.Extended, aggs []AggSpec) ([]int, error) {
+// aggPlan is a resolved aggregate list: each aggregate with its input's
+// real coordinate (-1 for count(*), which reads no attribute).
+type aggPlan struct {
+	aggs   []AggSpec
+	aggIdx []int
+}
+
+func newAggPlan(sch *schema.Extended, aggs []AggSpec) (*aggPlan, error) {
 	aggIdx := make([]int, len(aggs))
 	for i, a := range aggs {
 		if a.Func == Count && a.Attr == "" {
@@ -205,92 +200,144 @@ func resolveAggIdx(sch *schema.Extended, aggs []AggSpec) ([]int, error) {
 		}
 		aggIdx[i] = j
 	}
-	return aggIdx, nil
+	return &aggPlan{aggs: aggs, aggIdx: aggIdx}, nil
 }
 
-// accumulateGroup folds one group's member tuples (in the caller-chosen
-// order — both evaluators use key-sorted order) into its result row.
-func accumulateGroup(key value.Tuple, members []value.Tuple, aggs []AggSpec, aggIdx []int) value.Tuple {
-	g := &aggAcc{
-		key:     key,
-		nonNull: make([]int64, len(aggs)),
-		sum:     make([]float64, len(aggs)),
-		min:     make([]value.Value, len(aggs)),
-		max:     make([]value.Value, len(aggs)),
+// groupState is one group's aggregate state. Both evaluators keep it the
+// same way — one O(1) update per member inserted or deleted — and every
+// value it yields is a function of the group's member multiset alone, not
+// of the order members arrived or left in, so the one-shot and delta
+// results are bit-identical by construction (Definition 9).
+type groupState struct {
+	key   value.Tuple
+	count int64
+	cols  []aggCol
+}
+
+// aggCol is one aggregate's state within a group.
+type aggCol struct {
+	nonNull int64
+	sum     *exactSum // sum and mean only
+	// ext is the cached min/max (already coerced to the output type).
+	// When stale, a delete removed a value tying it: ext is then only a
+	// bound on the extremum, and row rescans the group's members.
+	ext   value.Value
+	stale bool
+}
+
+func (p *aggPlan) newGroup(key value.Tuple) *groupState {
+	g := &groupState{key: key, cols: make([]aggCol, len(p.aggs))}
+	for i, a := range p.aggs {
+		if a.Func == Sum || a.Func == Mean {
+			g.cols[i].sum = &exactSum{}
+		}
 	}
-	for _, t := range members {
-		g.count++
-		for i := range aggs {
-			if aggIdx[i] < 0 {
-				continue
-			}
-			v := t[aggIdx[i]]
-			if v.IsNull() {
-				continue
-			}
-			g.nonNull[i]++
+	return g
+}
+
+// update folds one member tuple into g (by = 1) or takes it back out
+// (by = -1).
+func (p *aggPlan) update(g *groupState, t value.Tuple, by int64) {
+	g.count += by
+	for i, a := range p.aggs {
+		if p.aggIdx[i] < 0 {
+			continue
+		}
+		v := t[p.aggIdx[i]]
+		if v.IsNull() {
+			continue
+		}
+		c := &g.cols[i]
+		c.nonNull += by
+		switch a.Func {
+		case Sum, Mean:
 			if f, ok := v.AsFloat(); ok {
-				g.sum[i] += f
+				c.sum.update(f, by)
 			}
-			if g.nonNull[i] == 1 {
-				g.min[i], g.max[i] = v, v
-			} else {
-				if value.Less(v, g.min[i]) {
-					g.min[i] = v
-				}
-				if value.Less(g.max[i], v) {
-					g.max[i] = v
-				}
+		case Min, Max:
+			v = coerceAgg(v)
+			switch {
+			case c.nonNull == 0:
+				c.ext, c.stale = value.NewNull(), false
+			case by > 0 && (c.nonNull == 1 || a.Func.beyond(v, c.ext) >= 0):
+				// At or beyond the cached value is the new extremum even
+				// when the cache is stale (it bounds the true extremum).
+				c.ext, c.stale = v, false
+			case by < 0 && a.Func.beyond(v, c.ext) == 0:
+				c.stale = true
 			}
 		}
 	}
-	row := make(value.Tuple, 0, len(key)+len(aggs))
+}
+
+// row renders g's result row, first rescanning members (a group's current
+// member set) for any stale extremum. The one-shot evaluator never deletes,
+// so it never has a stale extremum and passes no members.
+func (p *aggPlan) row(g *groupState, members map[string]value.Tuple) value.Tuple {
+	row := make(value.Tuple, 0, len(g.key)+len(p.aggs))
 	row = append(row, g.key...)
-	for i, a := range aggs {
-		row = append(row, aggValue(a, g, i))
+	for i, a := range p.aggs {
+		c := &g.cols[i]
+		if c.stale {
+			first := true
+			for _, m := range members {
+				v := m[p.aggIdx[i]]
+				if v.IsNull() {
+					continue
+				}
+				if v = coerceAgg(v); first || a.Func.beyond(v, c.ext) > 0 {
+					c.ext, first = v, false
+				}
+			}
+			c.stale = false
+		}
+		row = append(row, aggValue(a, g, c))
 	}
 	return row
 }
 
-// aggAcc accumulates one group's state.
-type aggAcc struct {
-	key     value.Tuple
-	count   int64
-	nonNull []int64
-	sum     []float64
-	min     []value.Value
-	max     []value.Value
-}
-
-func aggValue(a AggSpec, g *aggAcc, i int) value.Value {
-	switch a.Func {
-	case Count:
+func aggValue(a AggSpec, g *groupState, c *aggCol) value.Value {
+	if a.Func == Count {
 		if a.Attr == "" {
 			return value.NewInt(g.count)
 		}
-		return value.NewInt(g.nonNull[i])
-	case Sum:
-		if g.nonNull[i] == 0 {
-			return value.NewNull()
-		}
-		return value.NewReal(g.sum[i])
-	case Mean:
-		if g.nonNull[i] == 0 {
-			return value.NewNull()
-		}
-		return value.NewReal(round6(g.sum[i] / float64(g.nonNull[i])))
-	case Min:
-		if g.nonNull[i] == 0 {
-			return value.NewNull()
-		}
-		return coerceAgg(g.min[i])
-	case Max:
-		if g.nonNull[i] == 0 {
-			return value.NewNull()
-		}
-		return coerceAgg(g.max[i])
+		return value.NewInt(c.nonNull)
 	}
-	return value.NewNull()
+	if c.nonNull == 0 {
+		return value.NewNull()
+	}
+	switch a.Func {
+	case Sum:
+		return value.NewReal(c.sum.value())
+	case Mean:
+		return value.NewReal(round6(c.sum.value() / float64(c.nonNull)))
+	}
+	return c.ext
+}
+
+// beyond compares two coerced min/max candidates in f's direction: >0
+// when a is a strictly better extremum than b, 0 when they are identical.
+// The order is total (numerics by IEEE 754 totalOrder, so −0 < +0 and NaNs
+// sort by sign and payload beyond ±Inf; text by value.Compare, then
+// kind), so a multiset's extremum never depends on member order.
+func (f AggFunc) beyond(a, b value.Value) int {
+	var c int
+	if a.Kind() == value.Real && b.Kind() == value.Real {
+		c = cmp.Compare(totalOrder(a.Real()), totalOrder(b.Real()))
+	} else if c = value.Compare(a, b); c == 0 {
+		c = cmp.Compare(a.Kind(), b.Kind())
+	}
+	if f == Min {
+		return -c
+	}
+	return c
+}
+
+// totalOrder maps f to an integer whose order is IEEE 754 totalOrder:
+// −NaN < −Inf < … < −0 < +0 < … < +Inf < +NaN.
+func totalOrder(f float64) int64 {
+	b := int64(math.Float64bits(f))
+	return b ^ int64(uint64(b>>63)>>1)
 }
 
 // coerceAgg lifts numeric min/max to REAL (the declared output type);

@@ -1,6 +1,7 @@
 package algebra_test
 
 import (
+	"math"
 	"testing"
 
 	"serena/internal/algebra"
@@ -84,6 +85,48 @@ func TestAggregateMinMaxStrings(t *testing.T) {
 	}
 	if k, _ := out.Schema().TypeOf("first"); k != value.String {
 		t.Fatal("textual min keeps its type")
+	}
+}
+
+// TestAggregateMinMaxTotalOrder: numeric min/max follow IEEE 754
+// totalOrder, so signed zeros and NaNs have one extremum whatever the
+// order the group's members come in.
+func TestAggregateMinMaxTotalOrder(t *testing.T) {
+	negZero, negNaN := math.Copysign(0, -1), math.Float64frombits(0xfff8000000000000)
+	for _, tc := range []struct {
+		xs       []float64
+		min, max float64
+	}{
+		{[]float64{-1, -2.5, 3}, -2.5, 3},
+		{[]float64{0, negZero}, negZero, 0},
+		{[]float64{-1, negZero, 0, -2.5}, -2.5, 0},
+		{[]float64{math.NaN(), math.Inf(1), 5, math.Inf(-1)}, math.Inf(-1), math.NaN()},
+		{[]float64{negNaN, math.Inf(-1), 5}, negNaN, 5},
+	} {
+		sch := schema.MustExtended("m", []schema.ExtAttr{
+			{Attribute: schema.Attribute{Name: "id", Type: value.Int}},
+			{Attribute: schema.Attribute{Name: "x", Type: value.Real}},
+		}, nil)
+		for shift := range tc.xs {
+			var rows []value.Tuple
+			for i := range tc.xs {
+				j := (i + shift) % len(tc.xs)
+				rows = append(rows, value.Tuple{value.NewInt(int64(j)), value.NewReal(tc.xs[j])})
+			}
+			out, err := algebra.Aggregate(algebra.MustNew(sch, rows), nil, []algebra.AggSpec{
+				{Func: algebra.Min, Attr: "x", As: "lo"},
+				{Func: algebra.Max, Attr: "x", As: "hi"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			row := out.Tuples()[0]
+			if math.Float64bits(row[0].Real()) != math.Float64bits(tc.min) ||
+				math.Float64bits(row[1].Real()) != math.Float64bits(tc.max) {
+				t.Fatalf("min/max of %v (rotated by %d) = %v, %v; want %v, %v",
+					tc.xs, shift, row[0], row[1], tc.min, tc.max)
+			}
+		}
 	}
 }
 

@@ -5,8 +5,8 @@ package algebra
 // operator consumes its operand's change set — the tuples inserted into and
 // deleted from the operand's instantaneous relation since the previous
 // instant — and emits its own, maintaining just enough internal state
-// (support counts, join hash indexes, aggregate accumulators) to do so in
-// time proportional to |changes|, not |operand|.
+// (support counts, join hash indexes, per-group aggregate state) to do so
+// in time proportional to |changes|, not |operand|.
 //
 // Delta operators are state machines over SET-level deltas: inputs and
 // outputs are X-Relation (set semantics) change sets, normalized so no
@@ -22,7 +22,6 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 
 	"serena/internal/schema"
 	"serena/internal/value"
@@ -518,26 +517,25 @@ func (s *DeltaSetOp) Apply(dl, dr Delta) (Delta, error) {
 }
 
 // ---------------------------------------------------------------------------
-// DeltaAggregate: per-group accumulators.
+// DeltaAggregate: per-group state updated per change.
 
 // DeltaAggregate is the delta form of grouping/aggregation. It keeps, per
-// group, the set of member tuples and the group's last emitted result row;
-// per instant only the groups whose membership changed are re-accumulated
-// (O(|changed group|), not O(|operand|)) and emit a delete of the old row
-// plus an insert of the new one when the row changed. Accumulation runs in
-// key-sorted member order — the same order the one-shot operator uses — so
-// floating-point results are bit-identical between the two evaluators.
+// group, the member set, the aggregate state the one-shot operator uses
+// (groupState: counts, exact sums, cached extrema) and the group's last
+// emitted result row. Each inserted or deleted tuple updates its group's
+// state in O(1); per instant every changed group renders its row once and
+// emits a delete of the old row plus an insert of the new one when the row
+// changed. The only O(|group|) work left is rescanning the members for a
+// min/max whose cached value a delete removed.
 type DeltaAggregate struct {
-	out     *schema.Extended
-	groupBy []string
-	aggs    []AggSpec
-	keyIdx  []int
-	aggIdx  []int
-	groups  map[string]*deltaGroup
+	out    *schema.Extended
+	plan   *aggPlan
+	keyIdx []int
+	groups map[string]*deltaGroup
 }
 
 type deltaGroup struct {
-	key     value.Tuple
+	*groupState
 	members map[string]value.Tuple
 	lastRow value.Tuple
 }
@@ -553,37 +551,39 @@ func NewDeltaAggregate(in *schema.Extended, groupBy []string, aggs []AggSpec) (*
 	if err != nil {
 		return nil, err
 	}
-	aggIdx, err := resolveAggIdx(in, aggs)
+	plan, err := newAggPlan(in, aggs)
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaAggregate{
-		out: out, groupBy: groupBy, aggs: aggs,
-		keyIdx: keyIdx, aggIdx: aggIdx,
-		groups: map[string]*deltaGroup{},
-	}, nil
+	return &DeltaAggregate{out: out, plan: plan, keyIdx: keyIdx, groups: map[string]*deltaGroup{}}, nil
 }
 
 // Schema returns the aggregate result schema.
 func (a *DeltaAggregate) Schema() *schema.Extended { return a.out }
 
-// Reset clears all group accumulators.
+// Reset clears all group state.
 func (a *DeltaAggregate) Reset() { a.groups = map[string]*deltaGroup{} }
 
-// Apply updates group membership from the operand delta and re-accumulates
-// only the dirty groups.
+// Apply folds the operand delta into the group states and emits the
+// changed groups' rows. Inserting a present member changes nothing (the
+// operand is a set); deleting an absent one is an underflow.
 func (a *DeltaAggregate) Apply(child Delta) (Delta, error) {
-	dirty := map[string]bool{}
+	dirty := map[string]*deltaGroup{}
 	for _, t := range child.Ins {
 		key := t.Project(a.keyIdx)
 		k := key.Key()
 		g := a.groups[k]
 		if g == nil {
-			g = &deltaGroup{key: key, members: map[string]value.Tuple{}}
+			g = &deltaGroup{groupState: a.plan.newGroup(key), members: map[string]value.Tuple{}}
 			a.groups[k] = g
 		}
-		g.members[t.Key()] = t
-		dirty[k] = true
+		tk := t.Key()
+		if _, ok := g.members[tk]; ok {
+			continue
+		}
+		g.members[tk] = t
+		a.plan.update(g.groupState, t, 1)
+		dirty[k] = g
 	}
 	for _, t := range child.Del {
 		k := t.Project(a.keyIdx).Key()
@@ -596,32 +596,30 @@ func (a *DeltaAggregate) Apply(child Delta) (Delta, error) {
 			return Delta{}, fmt.Errorf("algebra: delta aggregate underflow on %s", t)
 		}
 		delete(g.members, tk)
-		dirty[k] = true
+		a.plan.update(g.groupState, t, -1)
+		dirty[k] = g
 	}
-	acc := NewDeltaAcc()
-	for k := range dirty {
-		g := a.groups[k]
+	// Rows of distinct groups differ in their key columns, and a group
+	// emits only when its row changed, so the output is normalized without
+	// netting.
+	var out Delta
+	for k, g := range dirty {
 		if len(g.members) == 0 {
 			if g.lastRow != nil {
-				acc.Del(g.lastRow)
+				out.Del = append(out.Del, g.lastRow)
 			}
 			delete(a.groups, k)
 			continue
 		}
-		members := make([]value.Tuple, 0, len(g.members))
-		for _, m := range g.members {
-			members = append(members, m)
-		}
-		sort.Slice(members, func(i, j int) bool { return members[i].Key() < members[j].Key() })
-		row := accumulateGroup(g.key, members, a.aggs, a.aggIdx)
+		row := a.plan.row(g.groupState, g.members)
 		if g.lastRow != nil {
-			if g.lastRow.Key() == row.Key() {
+			if g.lastRow.Identical(row) {
 				continue // group changed but its aggregate row did not
 			}
-			acc.Del(g.lastRow)
+			out.Del = append(out.Del, g.lastRow)
 		}
-		acc.Add(row)
+		out.Ins = append(out.Ins, row)
 		g.lastRow = row
 	}
-	return acc.Delta(), nil
+	return out, nil
 }

@@ -13,8 +13,10 @@ package cq
 // Correctness contract (Definition 9): at every instant the delta path's
 // result relation AND its Definition 8 action set are bit-identical to the
 // naive evaluator's. Everything here is arranged around that: aggregate
-// groups re-accumulate in the same key-sorted order the one-shot operator
-// uses; the §4.2 invocation cache (q.invCache) is shared between both paths
+// groups keep the same per-group state the one-shot operator builds,
+// updated per changed tuple with no key-sorted re-accumulation, and its
+// sums are exact, so results do not depend on the order tuples arrive in;
+// the §4.2 invocation cache (q.invCache) is shared between both paths
 // and pruned to the same contents; S[·] operators keep q.streamPrev as the
 // authoritative cross-instant state, so flipping a query between evaluators
 // mid-run stays seamless.

@@ -34,6 +34,7 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	passiveBefore := obs.Default.Counter("query.invoke.passive").Value()
 	memoBefore := obs.Default.Counter("query.invoke.memoized").Value()
 	activeBefore := obs.Default.Counter("query.invoke.active").Value()
+	coalescedBefore := obs.Default.Counter("query.invoke.coalesced").Value()
 	callsBefore := obs.Default.Counter("service.invoke.calls").Value()
 
 	var wg sync.WaitGroup
@@ -65,11 +66,12 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	totalPassiveOps := int64(workers * perWorker)
 	totalActiveOps := int64(workers * (perWorker / 50))
 
-	// Context-local stats: every passive op is counted exactly once, as
-	// either a physical invocation or a memo hit.
-	if got := ctx.Stats.Passive + ctx.Stats.Memoized; got != totalPassiveOps {
-		t.Fatalf("passive+memoized = %d (%d+%d), want %d",
-			got, ctx.Stats.Passive, ctx.Stats.Memoized, totalPassiveOps)
+	// Context-local stats: every passive op is counted exactly once, as a
+	// physical invocation, a memo hit, or a join onto another worker's
+	// in-flight call for the same key (coalesced).
+	if got := ctx.Stats.Passive + ctx.Stats.Memoized + ctx.Stats.Coalesced; got != totalPassiveOps {
+		t.Fatalf("passive+memoized+coalesced = %d (%d+%d+%d), want %d",
+			got, ctx.Stats.Passive, ctx.Stats.Memoized, ctx.Stats.Coalesced, totalPassiveOps)
 	}
 	if ctx.Stats.Active != totalActiveOps {
 		t.Fatalf("active = %d, want %d", ctx.Stats.Active, totalActiveOps)
@@ -79,6 +81,7 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	passiveDelta := obs.Default.Counter("query.invoke.passive").Value() - passiveBefore
 	memoDelta := obs.Default.Counter("query.invoke.memoized").Value() - memoBefore
 	activeDelta := obs.Default.Counter("query.invoke.active").Value() - activeBefore
+	coalescedDelta := obs.Default.Counter("query.invoke.coalesced").Value() - coalescedBefore
 	callsDelta := obs.Default.Counter("service.invoke.calls").Value() - callsBefore
 
 	if passiveDelta != ctx.Stats.Passive {
@@ -90,8 +93,11 @@ func TestMetricsConcurrentExactness(t *testing.T) {
 	if activeDelta != ctx.Stats.Active {
 		t.Fatalf("obs active = %d, context counted %d", activeDelta, ctx.Stats.Active)
 	}
+	if coalescedDelta != ctx.Stats.Coalesced {
+		t.Fatalf("obs coalesced = %d, context counted %d", coalescedDelta, ctx.Stats.Coalesced)
+	}
 	// Physical service calls = passive misses + active invocations (memo
-	// hits never reach the registry).
+	// hits and coalesced joins never reach the registry).
 	if want := passiveDelta + activeDelta; callsDelta != want {
 		t.Fatalf("service.invoke.calls delta = %d, want %d (passive %d + active %d)",
 			callsDelta, want, passiveDelta, activeDelta)

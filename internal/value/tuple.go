@@ -48,6 +48,20 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
+// Identical reports coordinate-wise identity (see Identical): exactly when
+// t.Key() == u.Key(), without building either key.
+func (t Tuple) Identical(u Tuple) bool {
+	if len(t) != len(u) {
+		return false
+	}
+	for i := range t {
+		if !Identical(t[i], u[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Compare orders tuples lexicographically coordinate by coordinate; shorter
 // tuples order first on ties.
 func (t Tuple) Compare(u Tuple) int {

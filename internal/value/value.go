@@ -282,6 +282,13 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 // Less reports whether a orders strictly before b.
 func Less(a, b Value) bool { return Compare(a, b) < 0 }
 
+// Identical reports whether a and b are the same value: same kind and
+// payload, exactly when a.Key() == b.Key(). Unlike Equal it tells Int(3)
+// from Real(3.0), and a Real NaN or zero only matches its own bit pattern.
+func Identical(a, b Value) bool {
+	return a.kind == b.kind && a.num == b.num && a.str == b.str && string(a.blob) == string(b.blob)
+}
+
 // Key returns a string usable as a map key such that Key(a)==Key(b) iff the
 // values are identical (same kind and payload). Unlike Compare, Key
 // distinguishes Int(3) from Real(3.0) so it can serve as an exact identity

@@ -185,11 +185,27 @@ func TestKeyIdentity(t *testing.T) {
 		{NewString("bT"), NewBool(true), false},
 		{NewBlob([]byte("i3")), NewInt(3), false},
 		{NewNull(), NewNull(), true},
+		{NewReal(0), NewReal(math.Copysign(0, -1)), false}, // Compare-equal, distinct bits
+		{NewReal(math.NaN()), NewReal(math.NaN()), true},
+		{NewReal(math.NaN()), NewReal(1), false}, // Compare calls NaN equal to every number
+		{NewBool(false), NewBool(false), true},
+		{NewBool(false), NewInt(0), false},
+		{NewBlob(nil), NewBlob([]byte{}), true},
 	}
 	for _, p := range pairs {
 		if (p.a.Key() == p.b.Key()) != p.same {
 			t.Errorf("Key(%v) vs Key(%v): same=%v want %v", p.a, p.b, p.a.Key() == p.b.Key(), p.same)
 		}
+		if Identical(p.a, p.b) != p.same {
+			t.Errorf("Identical(%v, %v) = %v, want %v", p.a, p.b, !p.same, p.same)
+		}
+		ta, tb := Tuple{NewInt(1), p.a}, Tuple{NewInt(1), p.b}
+		if ta.Identical(tb) != p.same {
+			t.Errorf("Tuple.Identical(%v, %v) = %v, want %v", ta, tb, !p.same, p.same)
+		}
+	}
+	if (Tuple{NewInt(1)}).Identical(Tuple{NewInt(1), NewNull()}) {
+		t.Error("tuples of different arity are identical")
 	}
 }
 

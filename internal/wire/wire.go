@@ -381,10 +381,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		wg.Add(1)
 		go func(req Request, counted bool) {
 			defer wg.Done()
-			if counted {
-				defer s.inFlight.Add(-1)
-			}
 			resp := s.handle(&req)
+			// Free the slot before replying: a client that sends its next
+			// request as soon as this reply lands must find it free.
+			if counted {
+				s.inFlight.Add(-1)
+			}
 			resp.ID = req.ID
 			send(resp, writeT)
 		}(req, maxIF > 0)
