@@ -6,9 +6,12 @@ all: build vet test
 
 # The CI gate: static checks plus the full test suite under the race
 # detector. staticcheck runs when installed (CI installs it; locally it is
-# optional so `make check` works on a bare toolchain).
+# optional so `make check` works on a bare toolchain). e2ebench is its own
+# module, so ./... skips it; vetting it there also builds it against this
+# checkout (its go.mod replaces serena with ../, so no download is needed).
 check:
 	$(GO) vet ./...
+	cd e2ebench && $(GO) vet .
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -35,7 +38,8 @@ bench:
 
 # Regression gate: run the suite into BENCH_check.json, then (a) fail if a
 # gated benchmark (BenchmarkInvoke*/BenchmarkDurableTick/
-# BenchmarkDeltaInvocation*/BenchmarkAggregate*/BenchmarkDeltaAggregate*)
+# BenchmarkDeltaInvocation*/BenchmarkAggregate*/BenchmarkDeltaAggregate*/
+# BenchmarkOperators*/BenchmarkWindowSweep*)
 # regressed >20% against the previous report —
 # missing or cross-machine baselines pass with a warning (cmd/benchfmt
 # -diff) — (b) fail unless the incremental evaluator beats the naive one at
@@ -77,8 +81,8 @@ chaos:
 experiments:
 	$(GO) run ./cmd/benchrun -exp all
 
-# Quick fuzz pass over the three parsers, the WAL codec and the exact
-# float sum behind sum/mean aggregates.
+# Quick fuzz pass over the three parsers, the WAL codec, the exact float
+# sum behind sum/mean aggregates and the tuple-identity map.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/sal/
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/ddl/
@@ -87,6 +91,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/wal/
 	$(GO) test -fuzz=FuzzExactSum -fuzztime=10s ./internal/algebra/
+	$(GO) test -fuzz=FuzzTupleMap -fuzztime=10s ./internal/value/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -99,6 +99,58 @@ func BenchmarkOperators(b *testing.B) {
 	}
 }
 
+// BenchmarkTupleIdentity is the tuple-identity rung of the per-layer
+// ladder: one iteration puts, gets or deletes every tuple of an n-tuple
+// set in value.TupleMap, the structure every operator's set, index and
+// support count is built on.
+func BenchmarkTupleIdentity(b *testing.B) {
+	for _, n := range []int{1 << 10, 1 << 14} {
+		tuples := synthRelation(n).Tuples()
+		full := value.NewTupleMap[int](n)
+		for i, t := range tuples {
+			full.Put(t, i)
+		}
+		perTuple := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+		}
+		b.Run(fmt.Sprintf("put/n=%dk", n>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var m value.TupleMap[int]
+				for j, t := range tuples {
+					m.Put(t, j)
+				}
+			}
+			perTuple(b)
+		})
+		b.Run(fmt.Sprintf("get/n=%dk", n>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, t := range tuples {
+					if _, ok := full.Get(t); !ok {
+						b.Fatal("missing tuple")
+					}
+				}
+			}
+			perTuple(b)
+		})
+		b.Run(fmt.Sprintf("delete/n=%dk", n>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := full.Clone()
+				b.StartTimer()
+				for _, t := range tuples {
+					if !m.Delete(t) {
+						b.Fatal("missing tuple")
+					}
+				}
+			}
+			perTuple(b)
+		})
+	}
+}
+
 // BenchmarkInvoke measures the invocation operator over in-process sensor
 // services (no latency injection), per operand cardinality.
 func BenchmarkInvoke(b *testing.B) {

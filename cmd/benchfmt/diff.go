@@ -10,10 +10,11 @@ import (
 
 // DefaultDiffKeys selects the benchmarks the regression gate watches: the
 // invocation pipeline, the durable tick path, the incremental-vs-naive
-// evaluation sweep, and both aggregation paths (one-shot and per-change
-// delta) — the surfaces the batching, delta-evaluation and exact-sum work
-// optimize and must not regress.
-const DefaultDiffKeys = `^BenchmarkInvoke|^BenchmarkDurableTick|^BenchmarkDeltaInvocation|^BenchmarkAggregate|^BenchmarkDeltaAggregate`
+// evaluation sweeps, both aggregation paths (one-shot and per-change
+// delta), and the one-shot operators — the surfaces the batching,
+// delta-evaluation, exact-sum and tuple-identity work optimize and must not
+// regress.
+const DefaultDiffKeys = `^BenchmarkInvoke|^BenchmarkDurableTick|^BenchmarkDeltaInvocation|^BenchmarkAggregate|^BenchmarkDeltaAggregate|^BenchmarkOperators|^BenchmarkWindowSweep`
 
 // Regression is one gated benchmark whose ns/op grew past the threshold.
 type Regression struct {

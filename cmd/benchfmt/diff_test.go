@@ -22,13 +22,13 @@ func TestDiffFlagsRegressionsPastThreshold(t *testing.T) {
 		"BenchmarkInvoke/n=100":          1000,
 		"BenchmarkInvokeBatch/batch":     500,
 		"BenchmarkDurableTick/sensors=8": 2000,
-		"BenchmarkOperators/select":      100, // not gated
+		"BenchmarkRewritePushdown":       100, // not gated
 	})
 	cur := report(map[string]float64{
 		"BenchmarkInvoke/n=100":          1100, // +10% → within threshold
 		"BenchmarkInvokeBatch/batch":     800,  // +60% → regression
 		"BenchmarkDurableTick/sensors=8": 2900, // +45% → regression
-		"BenchmarkOperators/select":      1000, // +900% but not gated
+		"BenchmarkRewritePushdown":       1000, // +900% but not gated
 	})
 	regs := Diff(cur, base, keys, 20)
 	if len(regs) != 2 {
@@ -49,19 +49,45 @@ func TestDiffGatesAggregation(t *testing.T) {
 		"BenchmarkAggregate/n=1000":           360_000,
 		"BenchmarkDeltaAggregate/group=1024":  1_000,
 		"BenchmarkDeltaAggregate/group=16384": 1_000,
-		"BenchmarkOperators/aggregate/n=1000": 100, // not gated
+		"BenchmarkOptimizerLatency":           100, // not gated
 	})
 	cur := report(map[string]float64{
 		"BenchmarkAggregate/n=1000":           1_920_000, // the 5.3x sort regression
 		"BenchmarkDeltaAggregate/group=1024":  1_100,     // +10% → within threshold
 		"BenchmarkDeltaAggregate/group=16384": 16_000,    // O(group) per change
-		"BenchmarkOperators/aggregate/n=1000": 1_000,
+		"BenchmarkOptimizerLatency":           1_000,
 	})
 	regs := Diff(cur, base, keys, 20)
 	if len(regs) != 2 {
 		t.Fatalf("regressions = %+v, want 2", regs)
 	}
 	if regs[0].Name != "BenchmarkDeltaAggregate/group=16384" || regs[1].Name != "BenchmarkAggregate/n=1000" {
+		t.Fatalf("order = %s, %s", regs[0].Name, regs[1].Name)
+	}
+}
+
+// The operators and the window sweep run on the tuple-identity paths
+// (set building, join buckets, delta operator state), so a regression
+// there fails the gate too.
+func TestDiffGatesOperatorsAndWindowSweep(t *testing.T) {
+	keys := regexp.MustCompile(DefaultDiffKeys)
+	base := report(map[string]float64{
+		"BenchmarkOperators/join/n=10000": 20_000_000,
+		"BenchmarkOperators/union/n=1000": 500_000,
+		"BenchmarkWindowSweep/w=1000":     2_000_000,
+		"BenchmarkTupleIdentity/put/n=1k": 50_000, // not gated
+	})
+	cur := report(map[string]float64{
+		"BenchmarkOperators/join/n=10000": 30_000_000, // +50% → regression
+		"BenchmarkOperators/union/n=1000": 550_000,    // +10% → within threshold
+		"BenchmarkWindowSweep/w=1000":     5_000_000,  // +150% → regression
+		"BenchmarkTupleIdentity/put/n=1k": 500_000,
+	})
+	regs := Diff(cur, base, keys, 20)
+	if len(regs) != 2 {
+		t.Fatalf("regressions = %+v, want 2", regs)
+	}
+	if regs[0].Name != "BenchmarkWindowSweep/w=1000" || regs[1].Name != "BenchmarkOperators/join/n=10000" {
 		t.Fatalf("order = %s, %s", regs[0].Name, regs[1].Name)
 	}
 }

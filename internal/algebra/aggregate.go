@@ -159,23 +159,20 @@ func Aggregate(r *XRelation, groupBy []string, aggs []AggSpec) (*XRelation, erro
 	if err != nil {
 		return nil, err
 	}
-	groups := map[string]*groupState{}
-	var order []string
+	var groups value.TupleMap[*groupState]
 	for _, t := range r.Tuples() {
 		key := t.Project(keyIdx)
-		k := key.Key()
-		g, ok := groups[k]
+		g, ok := groups.Ref(key)
 		if !ok {
-			g = p.newGroup(key)
-			groups[k] = g
-			order = append(order, k)
+			*g = p.newGroup(key)
 		}
-		p.update(g, t, 1)
+		p.update(*g, t, 1)
 	}
-	sort.Strings(order)
+	gs := append([]*groupState(nil), groups.Values()...)
+	sort.Slice(gs, func(i, j int) bool { return gs[i].key.Compare(gs[j].key) < 0 })
 	out := Empty(outSch)
-	for _, k := range order {
-		out.add(p.row(groups[k], nil))
+	for _, g := range gs {
+		out.add(p.row(g, nil))
 	}
 	return out, nil
 }
@@ -273,7 +270,7 @@ func (p *aggPlan) update(g *groupState, t value.Tuple, by int64) {
 // row renders g's result row, first rescanning members (a group's current
 // member set) for any stale extremum. The one-shot evaluator never deletes,
 // so it never has a stale extremum and passes no members.
-func (p *aggPlan) row(g *groupState, members map[string]value.Tuple) value.Tuple {
+func (p *aggPlan) row(g *groupState, members []value.Tuple) value.Tuple {
 	row := make(value.Tuple, 0, len(g.key)+len(p.aggs))
 	row = append(row, g.key...)
 	for i, a := range p.aggs {

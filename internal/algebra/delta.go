@@ -47,41 +47,27 @@ func (d Delta) Rows() int { return len(d.Ins) + len(d.Del) }
 // semantics; ordered consumers sort where they need to). It is exported
 // for external delta operators (the continuous executor's sources and β).
 type DeltaAcc struct {
-	count map[string]int
-	tuple map[string]value.Tuple
+	count value.TupleMap[int]
 }
 
 // NewDeltaAcc returns an empty accumulator.
-func NewDeltaAcc() *DeltaAcc {
-	return &DeltaAcc{count: map[string]int{}, tuple: map[string]value.Tuple{}}
-}
+func NewDeltaAcc() *DeltaAcc { return &DeltaAcc{} }
 
 // Add records one inserted tuple.
-func (a *DeltaAcc) Add(t value.Tuple) { a.bump(t, 1) }
+func (a *DeltaAcc) Add(t value.Tuple) { value.AddCount(&a.count, t, 1) }
 
 // Del records one deleted tuple.
-func (a *DeltaAcc) Del(t value.Tuple) { a.bump(t, -1) }
-
-func (a *DeltaAcc) bump(t value.Tuple, by int) {
-	k := t.Key()
-	a.count[k] += by
-	if a.count[k] == 0 {
-		delete(a.count, k)
-		delete(a.tuple, k)
-		return
-	}
-	a.tuple[k] = t
-}
+func (a *DeltaAcc) Del(t value.Tuple) { value.AddCount(&a.count, t, -1) }
 
 // Delta emits the netted change set.
 func (a *DeltaAcc) Delta() Delta {
 	var d Delta
-	for k, c := range a.count {
-		switch {
-		case c > 0:
-			d.Ins = append(d.Ins, a.tuple[k])
-		case c < 0:
-			d.Del = append(d.Del, a.tuple[k])
+	counts := a.count.Values()
+	for i, t := range a.count.Keys() {
+		if counts[i] > 0 {
+			d.Ins = append(d.Ins, t)
+		} else {
+			d.Del = append(d.Del, t)
 		}
 	}
 	return d
@@ -96,39 +82,40 @@ func (a *DeltaAcc) Delta() Delta {
 // multiplicity rises from zero, a delete when it returns to zero. It is the
 // leaf adapter between time-aware sources and the set-semantics operators.
 type DeltaGate struct {
-	count map[string]int
+	count value.TupleMap[int]
 }
 
 // NewDeltaGate returns an empty gate.
-func NewDeltaGate() *DeltaGate { return &DeltaGate{count: map[string]int{}} }
+func NewDeltaGate() *DeltaGate { return &DeltaGate{} }
 
 // Reset clears the gate's multiset.
-func (g *DeltaGate) Reset() { g.count = map[string]int{} }
+func (g *DeltaGate) Reset() { g.count.Clear() }
 
 // Apply feeds the instant's entering and leaving tuples through the gate
 // and returns the set-level delta. Leaving a tuple that is not present is
 // an inconsistency (the caller's state diverged from its source) and
 // errors so the caller can rebuild.
 func (g *DeltaGate) Apply(enter, leave []value.Tuple) (Delta, error) {
+	return supportCount(&g.count, enter, leave, "gate")
+}
+
+// supportCount folds entering and leaving tuples into a multiset of
+// support counts and returns the set-level delta: an insert when a tuple's
+// count rises from zero, a delete when it returns to zero. Leaving a tuple
+// with no support is an underflow of the named operator.
+func supportCount(count *value.TupleMap[int], enter, leave []value.Tuple, op string) (Delta, error) {
 	acc := NewDeltaAcc()
 	for _, t := range enter {
-		k := t.Key()
-		g.count[k]++
-		if g.count[k] == 1 {
+		if value.AddCount(count, t, 1) == 1 {
 			acc.Add(t)
 		}
 	}
 	for _, t := range leave {
-		k := t.Key()
-		c, ok := g.count[k]
-		if !ok || c == 0 {
-			return Delta{}, fmt.Errorf("algebra: delta gate underflow on %s", t)
+		if !count.Has(t) {
+			return Delta{}, fmt.Errorf("algebra: delta %s underflow on %s", op, t)
 		}
-		if c == 1 {
-			delete(g.count, k)
+		if value.AddCount(count, t, -1) == 0 {
 			acc.Del(t)
-		} else {
-			g.count[k] = c - 1
 		}
 	}
 	return acc.Delta(), nil
@@ -254,7 +241,7 @@ func (a *DeltaAssign) Apply(child Delta) (Delta, error) {
 type DeltaProject struct {
 	out     *schema.Extended
 	idx     []int
-	support map[string]int
+	support value.TupleMap[int]
 }
 
 // NewDeltaProject resolves the projection and returns the delta operator.
@@ -267,41 +254,25 @@ func NewDeltaProject(in *schema.Extended, names []string) (*DeltaProject, error)
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaProject{out: out, idx: idx, support: map[string]int{}}, nil
+	return &DeltaProject{out: out, idx: idx}, nil
 }
 
 // Schema returns the projected schema.
 func (p *DeltaProject) Schema() *schema.Extended { return p.out }
 
 // Reset clears the support counts.
-func (p *DeltaProject) Reset() { p.support = map[string]int{} }
+func (p *DeltaProject) Reset() { p.support.Clear() }
 
 // Apply projects the operand delta under support counting.
 func (p *DeltaProject) Apply(child Delta) (Delta, error) {
-	acc := NewDeltaAcc()
-	for _, t := range child.Ins {
-		pt := t.Project(p.idx)
-		k := pt.Key()
-		p.support[k]++
-		if p.support[k] == 1 {
-			acc.Add(pt)
+	project := func(ts []value.Tuple) []value.Tuple {
+		out := make([]value.Tuple, len(ts))
+		for i, t := range ts {
+			out[i] = t.Project(p.idx)
 		}
+		return out
 	}
-	for _, t := range child.Del {
-		pt := t.Project(p.idx)
-		k := pt.Key()
-		c, ok := p.support[k]
-		if !ok || c == 0 {
-			return Delta{}, fmt.Errorf("algebra: delta project underflow on %s", pt)
-		}
-		if c == 1 {
-			delete(p.support, k)
-			acc.Del(pt)
-		} else {
-			p.support[k] = c - 1
-		}
-	}
-	return acc.Delta(), nil
+	return supportCount(&p.support, project(child.Ins), project(child.Del), "project")
 }
 
 // ---------------------------------------------------------------------------
@@ -312,9 +283,12 @@ func (p *DeltaProject) Apply(child Delta) (Delta, error) {
 // per instant it probes each side's delta against the other side's index,
 // so the work is |ΔL|·fanout + |ΔR|·fanout instead of |L|+|R|.
 type DeltaJoin struct {
-	plan        *joinPlan
-	left, right map[string]map[string]value.Tuple // join key → tuple key → tuple
+	plan  *joinPlan
+	sides [2]joinIndex // left, right
 }
+
+// joinIndex maps a join key to the set of one side's tuples carrying it.
+type joinIndex = value.TupleMap[value.TupleMap[struct{}]]
 
 // NewDeltaJoin derives the join plan for the two operand schemas and
 // returns the delta operator.
@@ -323,43 +297,14 @@ func NewDeltaJoin(s1, s2 *schema.Extended) (*DeltaJoin, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaJoin{
-		plan:  plan,
-		left:  map[string]map[string]value.Tuple{},
-		right: map[string]map[string]value.Tuple{},
-	}, nil
+	return &DeltaJoin{plan: plan}, nil
 }
 
 // Schema returns the joined schema.
 func (j *DeltaJoin) Schema() *schema.Extended { return j.plan.out }
 
 // Reset clears both hash indexes.
-func (j *DeltaJoin) Reset() {
-	j.left = map[string]map[string]value.Tuple{}
-	j.right = map[string]map[string]value.Tuple{}
-}
-
-func indexAdd(idx map[string]map[string]value.Tuple, jk string, t value.Tuple) {
-	b := idx[jk]
-	if b == nil {
-		b = map[string]value.Tuple{}
-		idx[jk] = b
-	}
-	b[t.Key()] = t
-}
-
-func indexRemove(idx map[string]map[string]value.Tuple, jk string, t value.Tuple) error {
-	b := idx[jk]
-	k := t.Key()
-	if _, ok := b[k]; !ok {
-		return fmt.Errorf("algebra: delta join index underflow on %s", t)
-	}
-	delete(b, k)
-	if len(b) == 0 {
-		delete(idx, jk)
-	}
-	return nil
-}
+func (j *DeltaJoin) Reset() { j.sides = [2]joinIndex{} }
 
 // Apply maintains the indexes and emits the joined delta. The left delta is
 // applied first (probing the right side's PREVIOUS index), then the right
@@ -369,36 +314,38 @@ func indexRemove(idx map[string]map[string]value.Tuple, jk string, t value.Tuple
 // accumulator.
 func (j *DeltaJoin) Apply(dl, dr Delta) (Delta, error) {
 	acc := NewDeltaAcc()
-	for _, t := range dl.Del {
-		jk := t.Project(j.plan.idx1).Key()
-		if err := indexRemove(j.left, jk, t); err != nil {
-			return Delta{}, err
+	for s, d := range [2]Delta{dl, dr} {
+		own, other := &j.sides[s], &j.sides[1-s]
+		keyIdx := j.plan.idx1
+		combine := j.plan.combine
+		if s == 1 {
+			keyIdx = j.plan.idx2
+			combine = func(t, o value.Tuple) value.Tuple { return j.plan.combine(o, t) }
 		}
-		for _, r := range j.right[jk] {
-			acc.Del(j.plan.combine(t, r))
+		for _, t := range d.Del {
+			jk := t.Project(keyIdx)
+			b := own.Find(jk)
+			if b == nil || !b.Delete(t) {
+				return Delta{}, fmt.Errorf("algebra: delta join index underflow on %s", t)
+			}
+			if b.Len() == 0 {
+				own.Delete(jk)
+			}
+			if ob := other.Find(jk); ob != nil {
+				for _, o := range ob.Keys() {
+					acc.Del(combine(t, o))
+				}
+			}
 		}
-	}
-	for _, t := range dl.Ins {
-		jk := t.Project(j.plan.idx1).Key()
-		indexAdd(j.left, jk, t)
-		for _, r := range j.right[jk] {
-			acc.Add(j.plan.combine(t, r))
-		}
-	}
-	for _, t := range dr.Del {
-		jk := t.Project(j.plan.idx2).Key()
-		if err := indexRemove(j.right, jk, t); err != nil {
-			return Delta{}, err
-		}
-		for _, l := range j.left[jk] {
-			acc.Del(j.plan.combine(l, t))
-		}
-	}
-	for _, t := range dr.Ins {
-		jk := t.Project(j.plan.idx2).Key()
-		indexAdd(j.right, jk, t)
-		for _, l := range j.left[jk] {
-			acc.Add(j.plan.combine(l, t))
+		for _, t := range d.Ins {
+			jk := t.Project(keyIdx)
+			b, _ := own.Ref(jk)
+			b.Put(t, struct{}{})
+			if ob := other.Find(jk); ob != nil {
+				for _, o := range ob.Keys() {
+					acc.Add(combine(t, o))
+				}
+			}
 		}
 	}
 	return acc.Delta(), nil
@@ -407,15 +354,13 @@ func (j *DeltaJoin) Apply(dl, dr Delta) (Delta, error) {
 // ---------------------------------------------------------------------------
 // DeltaSetOp: ∪, ∩, − with side-membership state.
 
-// DeltaSetOp is the delta form of the three set operators. Union keeps a
-// per-tuple support count (present in 1 or 2 sides); intersection and
-// difference keep per-side membership sets and emit on the derived
-// transitions.
+// DeltaSetOp is the delta form of the three set operators. It keeps each
+// side's membership set and emits a change whenever a side change flips the
+// tuple's membership in the output.
 type DeltaSetOp struct {
 	kind  int // 0 union, 1 intersect, 2 diff — mirrors query.SetOpKind order
 	sch   *schema.Extended
-	left  map[string]value.Tuple
-	right map[string]value.Tuple
+	sides [2]value.TupleMap[struct{}] // left, right
 }
 
 // Set-operator kinds for NewDeltaSetOp (aligned with the one-shot
@@ -435,21 +380,25 @@ func NewDeltaSetOp(kind int, s1, s2 *schema.Extended) (*DeltaSetOp, error) {
 	if kind < DeltaUnion || kind > DeltaDiff {
 		return nil, fmt.Errorf("algebra: unknown set operator kind %d", kind)
 	}
-	return &DeltaSetOp{
-		kind:  kind,
-		sch:   s1,
-		left:  map[string]value.Tuple{},
-		right: map[string]value.Tuple{},
-	}, nil
+	return &DeltaSetOp{kind: kind, sch: s1}, nil
 }
 
 // Schema returns the (shared) operand schema.
 func (s *DeltaSetOp) Schema() *schema.Extended { return s.sch }
 
 // Reset clears the side-membership sets.
-func (s *DeltaSetOp) Reset() {
-	s.left = map[string]value.Tuple{}
-	s.right = map[string]value.Tuple{}
+func (s *DeltaSetOp) Reset() { s.sides = [2]value.TupleMap[struct{}]{} }
+
+// member reports output membership given membership in the left and right
+// operands.
+func (s *DeltaSetOp) member(l, r bool) bool {
+	switch s.kind {
+	case DeltaUnion:
+		return l || r
+	case DeltaIntersect:
+		return l && r
+	}
+	return l && !r
 }
 
 // Apply maintains side membership and emits the set-operator delta. The
@@ -459,59 +408,33 @@ func (s *DeltaSetOp) Reset() {
 // accumulator.
 func (s *DeltaSetOp) Apply(dl, dr Delta) (Delta, error) {
 	acc := NewDeltaAcc()
-	apply := func(side, other map[string]value.Tuple, d Delta, leftSide bool) error {
+	for i, d := range [2]Delta{dl, dr} {
+		own, other := &s.sides[i], &s.sides[1-i]
+		// flip emits the output change, if any, of t's own-side membership
+		// changing to now.
+		flip := func(t value.Tuple, now bool) {
+			o := other.Has(t)
+			before, after := s.member(!now, o), s.member(now, o)
+			if i == 1 {
+				before, after = s.member(o, !now), s.member(o, now)
+			}
+			switch {
+			case before && !after:
+				acc.Del(t)
+			case !before && after:
+				acc.Add(t)
+			}
+		}
 		for _, t := range d.Del {
-			k := t.Key()
-			if _, ok := side[k]; !ok {
-				return fmt.Errorf("algebra: delta set-op underflow on %s", t)
+			if !own.Delete(t) {
+				return Delta{}, fmt.Errorf("algebra: delta set-op underflow on %s", t)
 			}
-			delete(side, k)
-			_, inOther := other[k]
-			switch s.kind {
-			case DeltaUnion:
-				if !inOther {
-					acc.Del(t)
-				}
-			case DeltaIntersect:
-				if inOther {
-					acc.Del(t)
-				}
-			case DeltaDiff:
-				if leftSide && !inOther {
-					acc.Del(t)
-				} else if !leftSide && inOther {
-					acc.Add(t)
-				}
-			}
+			flip(t, false)
 		}
 		for _, t := range d.Ins {
-			k := t.Key()
-			side[k] = t
-			_, inOther := other[k]
-			switch s.kind {
-			case DeltaUnion:
-				if !inOther {
-					acc.Add(t)
-				}
-			case DeltaIntersect:
-				if inOther {
-					acc.Add(t)
-				}
-			case DeltaDiff:
-				if leftSide && !inOther {
-					acc.Add(t)
-				} else if !leftSide && inOther {
-					acc.Del(t)
-				}
-			}
+			own.Put(t, struct{}{})
+			flip(t, true)
 		}
-		return nil
-	}
-	if err := apply(s.left, s.right, dl, true); err != nil {
-		return Delta{}, err
-	}
-	if err := apply(s.right, s.left, dr, false); err != nil {
-		return Delta{}, err
 	}
 	return acc.Delta(), nil
 }
@@ -531,13 +454,14 @@ type DeltaAggregate struct {
 	out    *schema.Extended
 	plan   *aggPlan
 	keyIdx []int
-	groups map[string]*deltaGroup
+	groups value.TupleMap[*deltaGroup] // by group key
 }
 
 type deltaGroup struct {
 	*groupState
-	members map[string]value.Tuple
+	members value.TupleMap[struct{}]
 	lastRow value.Tuple
+	dirty   bool // changed in the current Apply
 }
 
 // NewDeltaAggregate resolves the aggregation and returns the delta
@@ -555,63 +479,61 @@ func NewDeltaAggregate(in *schema.Extended, groupBy []string, aggs []AggSpec) (*
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaAggregate{out: out, plan: plan, keyIdx: keyIdx, groups: map[string]*deltaGroup{}}, nil
+	return &DeltaAggregate{out: out, plan: plan, keyIdx: keyIdx}, nil
 }
 
 // Schema returns the aggregate result schema.
 func (a *DeltaAggregate) Schema() *schema.Extended { return a.out }
 
 // Reset clears all group state.
-func (a *DeltaAggregate) Reset() { a.groups = map[string]*deltaGroup{} }
+func (a *DeltaAggregate) Reset() { a.groups.Clear() }
 
 // Apply folds the operand delta into the group states and emits the
 // changed groups' rows. Inserting a present member changes nothing (the
 // operand is a set); deleting an absent one is an underflow.
 func (a *DeltaAggregate) Apply(child Delta) (Delta, error) {
-	dirty := map[string]*deltaGroup{}
+	var dirty []*deltaGroup
+	touch := func(g *deltaGroup) {
+		if !g.dirty {
+			g.dirty = true
+			dirty = append(dirty, g)
+		}
+	}
 	for _, t := range child.Ins {
 		key := t.Project(a.keyIdx)
-		k := key.Key()
-		g := a.groups[k]
-		if g == nil {
-			g = &deltaGroup{groupState: a.plan.newGroup(key), members: map[string]value.Tuple{}}
-			a.groups[k] = g
+		p, ok := a.groups.Ref(key)
+		if !ok {
+			*p = &deltaGroup{groupState: a.plan.newGroup(key)}
 		}
-		tk := t.Key()
-		if _, ok := g.members[tk]; ok {
+		g := *p
+		if _, present := g.members.Ref(t); present {
 			continue
 		}
-		g.members[tk] = t
 		a.plan.update(g.groupState, t, 1)
-		dirty[k] = g
+		touch(g)
 	}
 	for _, t := range child.Del {
-		k := t.Project(a.keyIdx).Key()
-		g := a.groups[k]
-		if g == nil {
+		g, _ := a.groups.Get(t.Project(a.keyIdx))
+		if g == nil || !g.members.Delete(t) {
 			return Delta{}, fmt.Errorf("algebra: delta aggregate underflow on %s", t)
 		}
-		tk := t.Key()
-		if _, ok := g.members[tk]; !ok {
-			return Delta{}, fmt.Errorf("algebra: delta aggregate underflow on %s", t)
-		}
-		delete(g.members, tk)
 		a.plan.update(g.groupState, t, -1)
-		dirty[k] = g
+		touch(g)
 	}
 	// Rows of distinct groups differ in their key columns, and a group
 	// emits only when its row changed, so the output is normalized without
 	// netting.
 	var out Delta
-	for k, g := range dirty {
-		if len(g.members) == 0 {
+	for _, g := range dirty {
+		g.dirty = false
+		if g.members.Len() == 0 {
 			if g.lastRow != nil {
 				out.Del = append(out.Del, g.lastRow)
 			}
-			delete(a.groups, k)
+			a.groups.Delete(g.key)
 			continue
 		}
-		row := a.plan.row(g.groupState, g.members)
+		row := a.plan.row(g.groupState, g.members.Keys())
 		if g.lastRow != nil {
 			if g.lastRow.Identical(row) {
 				continue // group changed but its aggregate row did not

@@ -63,7 +63,16 @@ func (w *world) step() algebra.Delta {
 }
 
 func (w *world) relation() *algebra.XRelation {
-	return algebra.FromKeyed(w.sch, w.cur)
+	return fromMap(w.sch, w.cur)
+}
+
+// fromMap builds the X-Relation holding a test's key → tuple map.
+func fromMap(sch *schema.Extended, m map[string]value.Tuple) *algebra.XRelation {
+	tuples := make([]value.Tuple, 0, len(m))
+	for _, t := range m {
+		tuples = append(tuples, t)
+	}
+	return algebra.MustNew(sch, tuples)
 }
 
 // fold applies an operator's output delta to the maintained output set,
@@ -87,7 +96,7 @@ func fold(t *testing.T, out map[string]value.Tuple, d algebra.Delta, seed int64,
 
 func requireEqual(t *testing.T, sch *schema.Extended, out map[string]value.Tuple, want *algebra.XRelation, seed int64, step int) {
 	t.Helper()
-	got := algebra.FromKeyed(sch, out)
+	got := fromMap(sch, out)
 	if !got.EqualContents(want) {
 		t.Fatalf("seed %d step %d: delta-maintained output diverged\ngot:\n%s\nwant:\n%s",
 			seed, step, got.Table(), want.Table())

@@ -47,51 +47,31 @@ func (f InvokerFunc) Invoke(bp schema.BindingPattern, ref string, input value.Tu
 // Set operators (Section 3.1.1): defined over two X-Relations with the same
 // extended schema; the result keeps that schema.
 
-func requireSameSchema(op string, r1, r2 *XRelation) error {
-	if !r1.Schema().Equal(r2.Schema()) {
-		return fmt.Errorf("algebra: %s requires identical extended schemas (%s vs %s)",
-			op, r1.Schema().Name(), r2.Schema().Name())
-	}
-	return nil
-}
-
 // Union computes r1 ∪ r2.
-func Union(r1, r2 *XRelation) (*XRelation, error) {
-	if err := requireSameSchema("union", r1, r2); err != nil {
-		return nil, err
-	}
-	out := Empty(r1.Schema())
-	for _, t := range r1.Tuples() {
-		out.add(t)
-	}
-	for _, t := range r2.Tuples() {
-		out.add(t)
-	}
-	return out, nil
-}
+func Union(r1, r2 *XRelation) (*XRelation, error) { return setOp("union", r1, r2) }
 
 // Intersect computes r1 ∩ r2.
-func Intersect(r1, r2 *XRelation) (*XRelation, error) {
-	if err := requireSameSchema("intersect", r1, r2); err != nil {
-		return nil, err
+func Intersect(r1, r2 *XRelation) (*XRelation, error) { return setOp("intersect", r1, r2) }
+
+// Diff computes r1 − r2.
+func Diff(r1, r2 *XRelation) (*XRelation, error) { return setOp("difference", r1, r2) }
+
+// setOp computes the named set operator: the tuples of r1 it keeps (all
+// for union, those in r2 for intersect, the others for difference), then
+// for union the tuples of r2.
+func setOp(op string, r1, r2 *XRelation) (*XRelation, error) {
+	if !r1.Schema().Equal(r2.Schema()) {
+		return nil, fmt.Errorf("algebra: %s requires identical extended schemas (%s vs %s)",
+			op, r1.Schema().Name(), r2.Schema().Name())
 	}
 	out := Empty(r1.Schema())
 	for _, t := range r1.Tuples() {
-		if r2.Contains(t) {
+		if op == "union" || r2.Contains(t) == (op == "intersect") {
 			out.add(t)
 		}
 	}
-	return out, nil
-}
-
-// Diff computes r1 − r2.
-func Diff(r1, r2 *XRelation) (*XRelation, error) {
-	if err := requireSameSchema("difference", r1, r2); err != nil {
-		return nil, err
-	}
-	out := Empty(r1.Schema())
-	for _, t := range r1.Tuples() {
-		if !r2.Contains(t) {
+	if op == "union" {
+		for _, t := range r2.Tuples() {
 			out.add(t)
 		}
 	}
@@ -218,15 +198,15 @@ func NaturalJoin(r1, r2 *XRelation) (*XRelation, error) {
 	}
 
 	// Hash join on the shared real attributes.
-	buckets := make(map[string][]value.Tuple, r2.Len())
+	var buckets value.TupleMap[[]value.Tuple]
 	for _, t2 := range r2.Tuples() {
-		k := t2.Project(plan.idx2).Key()
-		buckets[k] = append(buckets[k], t2)
+		b, _ := buckets.Ref(t2.Project(plan.idx2))
+		*b = append(*b, t2)
 	}
 	out := Empty(plan.out)
 	for _, t1 := range r1.Tuples() {
-		k := t1.Project(plan.idx1).Key()
-		for _, t2 := range buckets[k] {
+		b, _ := buckets.Get(t1.Project(plan.idx1))
+		for _, t2 := range b {
 			out.add(plan.combine(t1, t2))
 		}
 	}

@@ -8,7 +8,6 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"serena/internal/schema"
@@ -16,12 +15,12 @@ import (
 )
 
 // XRelation is an extended relation (Definition 3): a finite *set* of tuples
-// over the real schema of an extended relation schema. The tuple slice is
-// kept deduplicated and is treated as immutable by all operators.
+// over the real schema of an extended relation schema. Its tuples are the
+// keys of a tuple set, kept in insertion order and treated as immutable by
+// all operators.
 type XRelation struct {
-	sch    *schema.Extended
-	tuples []value.Tuple
-	keys   map[string]bool
+	sch *schema.Extended
+	set *value.TupleMap[struct{}]
 }
 
 // New builds an X-Relation over the given schema, validating and
@@ -31,7 +30,7 @@ func New(sch *schema.Extended, tuples []value.Tuple) (*XRelation, error) {
 	if sch == nil {
 		return nil, fmt.Errorf("algebra: nil schema")
 	}
-	r := &XRelation{sch: sch, keys: make(map[string]bool, len(tuples))}
+	r := &XRelation{sch: sch, set: value.NewTupleMap[struct{}](len(tuples))}
 	for i, t := range tuples {
 		c, err := sch.RealRel().Conforms(t)
 		if err != nil {
@@ -53,55 +52,36 @@ func MustNew(sch *schema.Extended, tuples []value.Tuple) *XRelation {
 
 // Empty returns an empty X-Relation over the schema.
 func Empty(sch *schema.Extended) *XRelation {
-	return &XRelation{sch: sch, keys: make(map[string]bool)}
+	return &XRelation{sch: sch, set: &value.TupleMap[struct{}]{}}
 }
 
-// FromKeyed builds an X-Relation from an already-deduplicated key → tuple
-// map whose tuples are known to conform to the schema (they came out of
-// operators over this schema). It skips per-tuple conformance and reuses
-// the map's keys, so materializing a maintained result is O(n) map copies
-// with no re-validation. Tuple order is unspecified (set semantics).
-func FromKeyed(sch *schema.Extended, m map[string]value.Tuple) *XRelation {
-	r := &XRelation{
-		sch:    sch,
-		tuples: make([]value.Tuple, 0, len(m)),
-		keys:   make(map[string]bool, len(m)),
-	}
-	for k, t := range m {
-		r.keys[k] = true
-		r.tuples = append(r.tuples, t)
-	}
-	return r
+// FromSet wraps a set of tuples already known to conform to the schema
+// (they came out of operators over it), skipping New's per-tuple checks.
+// The relation owns the set from then on: callers must not modify it.
+func FromSet(sch *schema.Extended, set *value.TupleMap[struct{}]) *XRelation {
+	return &XRelation{sch: sch, set: set}
 }
 
 // add inserts a conformed tuple, keeping set semantics.
-func (r *XRelation) add(t value.Tuple) {
-	k := t.Key()
-	if r.keys[k] {
-		return
-	}
-	r.keys[k] = true
-	r.tuples = append(r.tuples, t)
-}
+func (r *XRelation) add(t value.Tuple) { r.set.Put(t, struct{}{}) }
 
 // Schema returns the extended relation schema.
 func (r *XRelation) Schema() *schema.Extended { return r.sch }
 
 // Len returns the cardinality of the relation.
-func (r *XRelation) Len() int { return len(r.tuples) }
+func (r *XRelation) Len() int { return r.set.Len() }
 
 // Tuples returns the tuples in insertion order; callers must not mutate.
-func (r *XRelation) Tuples() []value.Tuple { return r.tuples }
+func (r *XRelation) Tuples() []value.Tuple { return r.set.Keys() }
 
-// Contains reports membership of a tuple (after conformance; raw equality of
-// keys).
-func (r *XRelation) Contains(t value.Tuple) bool { return r.keys[t.Key()] }
+// Contains reports membership of a tuple (after conformance; tuple
+// identity, see value.Tuple.Identical).
+func (r *XRelation) Contains(t value.Tuple) bool { return r.set.Has(t) }
 
-// Sorted returns the tuples in deterministic lexicographic order.
+// Sorted returns the tuples in the canonical order (value.Tuple.Compare).
 func (r *XRelation) Sorted() []value.Tuple {
-	out := make([]value.Tuple, len(r.tuples))
-	copy(out, r.tuples)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out := append([]value.Tuple(nil), r.Tuples()...)
+	value.SortTuples(out)
 	return out
 }
 
@@ -111,8 +91,8 @@ func (r *XRelation) EqualContents(o *XRelation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	for k := range r.keys {
-		if !o.keys[k] {
+	for _, t := range r.Tuples() {
+		if !o.Contains(t) {
 			return false
 		}
 	}
@@ -129,7 +109,7 @@ func (r *XRelation) Table() string {
 		header[i] = a.Name
 		widths[i] = len(a.Name)
 	}
-	rows := make([][]string, 0, len(r.tuples))
+	rows := make([][]string, 0, r.Len())
 	for _, t := range r.Sorted() {
 		row := make([]string, len(attrs))
 		for i, a := range attrs {

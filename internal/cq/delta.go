@@ -90,13 +90,7 @@ func (b *deltaBase) apply(ev *evaluator, init bool, from service.Instant) (algeb
 		return algebra.Delta{}, 0, fmt.Errorf("unknown relation %q", b.name)
 	}
 	if init {
-		b.gate.Reset()
-		var tuples []value.Tuple
-		if x.LastInstant() <= ev.at {
-			tuples = x.Current()
-		} else {
-			tuples = x.At(ev.at)
-		}
+		tuples := ev.instantaneous(x)
 		d, err := b.gate.Apply(tuples, nil)
 		return d, len(tuples), err
 	}
@@ -149,7 +143,6 @@ func (w *deltaWindow) apply(ev *evaluator, init bool, from service.Instant) (alg
 	span.SetAttrInt("period", int64(w.period))
 	at := ev.at
 	if init {
-		w.gate.Reset()
 		enter := x.InsertedIn(at-w.period, at)
 		d, err := w.gate.Apply(enter, nil)
 		span.SetAttrInt("rows", int64(len(enter)))
@@ -180,87 +173,45 @@ func (w *deltaWindow) apply(ev *evaluator, init bool, from service.Instant) (alg
 type deltaStream struct {
 	node        *query.Stream
 	kind        query.StreamKind
-	prevEmitted map[string]value.Tuple
+	prevEmitted *value.TupleMap[struct{}]
 }
 
-func (s *deltaStream) reset() { s.prevEmitted = nil }
+func (s *deltaStream) Reset() { s.prevEmitted = nil }
 
 func (s *deltaStream) apply(ev *evaluator, init bool, child algebra.Delta) (algebra.Delta, error) {
 	q := ev.q
 	prev := q.streamPrev[s.node]
-	emitted := map[string]value.Tuple{}
+	var emitted *value.TupleMap[struct{}]
 	if init {
 		// Children were reset, so child.Ins IS the full current child set.
-		cur := make(map[string]value.Tuple, len(child.Ins))
-		for _, t := range child.Ins {
-			cur[t.Key()] = t
-		}
-		switch s.kind {
-		case query.StreamInsertion:
-			for k, t := range cur {
-				if _, ok := prev[k]; !ok {
-					emitted[k] = t
-				}
-			}
-		case query.StreamDeletion:
-			for k, t := range prev {
-				if _, ok := cur[k]; !ok {
-					emitted[k] = t
-				}
-			}
-		case query.StreamHeartbeat:
-			for k, t := range cur {
-				emitted[k] = t
-			}
-		}
+		cur := tupleSet(child.Ins)
+		emitted = tupleSet(streamEmit(s.kind, cur, prev))
 		q.streamPrev[s.node] = cur
 	} else {
-		if prev == nil {
-			prev = map[string]value.Tuple{}
-			q.streamPrev[s.node] = prev
+		// prev is the child's set at the previous instant (the init tick
+		// set it), and the child's delta is normalized against it: its
+		// inserts are new and its deletes were present.
+		for _, t := range child.Del {
+			prev.Delete(t)
+		}
+		for _, t := range child.Ins {
+			prev.Put(t, struct{}{})
 		}
 		switch s.kind {
 		case query.StreamInsertion:
-			for _, t := range child.Ins {
-				if _, ok := prev[t.Key()]; !ok {
-					emitted[t.Key()] = t
-				}
-			}
+			emitted = tupleSet(child.Ins)
 		case query.StreamDeletion:
-			for _, t := range child.Del {
-				if _, ok := prev[t.Key()]; ok {
-					emitted[t.Key()] = t
-				}
-			}
-		}
-		for _, t := range child.Del {
-			delete(prev, t.Key())
-		}
-		for _, t := range child.Ins {
-			prev[t.Key()] = t
-		}
-		if s.kind == query.StreamHeartbeat {
-			for k, t := range prev {
-				emitted[k] = t
-			}
+			emitted = tupleSet(child.Del)
+		default:
+			emitted = tupleSet(prev.Keys())
 		}
 	}
 	if span := ev.ctx.Span.Child("cq.stream"); span != nil {
 		span.SetAttr("kind", s.kind.String())
-		span.SetAttrInt("emitted", int64(len(emitted)))
+		span.SetAttrInt("emitted", int64(emitted.Len()))
 		span.Finish()
 	}
-	var out algebra.Delta
-	for k, t := range emitted {
-		if _, ok := s.prevEmitted[k]; !ok {
-			out.Ins = append(out.Ins, t)
-		}
-	}
-	for k, t := range s.prevEmitted {
-		if _, ok := emitted[k]; !ok {
-			out.Del = append(out.Del, t)
-		}
-	}
+	out := algebra.Delta{Ins: missing(emitted, s.prevEmitted), Del: missing(s.prevEmitted, emitted)}
 	s.prevEmitted = emitted
 	return out, nil
 }
@@ -276,7 +227,7 @@ type deltaInvoke struct {
 	node     *query.Invoke
 	bp       schema.BindingPattern
 	plan     *algebra.InvokePlan
-	entries  map[string]*invEntry
+	entries  value.TupleMap[*invEntry] // by input tuple
 	cacheRef map[string]int
 }
 
@@ -288,8 +239,8 @@ type invEntry struct {
 	outs     []value.Tuple
 }
 
-func (iv *deltaInvoke) reset() {
-	iv.entries = map[string]*invEntry{}
+func (iv *deltaInvoke) Reset() {
+	iv.entries.Clear()
 	iv.cacheRef = map[string]int{}
 }
 
@@ -324,12 +275,11 @@ func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta,
 	acc := algebra.NewDeltaAcc()
 	decremented := map[string]bool{}
 	for _, t := range child.Del {
-		k := t.Key()
-		e := iv.entries[k]
+		e, _ := iv.entries.Get(t)
 		if e == nil {
 			return algebra.Delta{}, fmt.Errorf("cq: delta invoke underflow on %s", t)
 		}
-		delete(iv.entries, k)
+		iv.entries.Delete(t)
 		for _, o := range e.outs {
 			acc.Del(o)
 		}
@@ -339,11 +289,12 @@ func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta,
 		}
 	}
 	for _, t := range child.Ins {
-		k := t.Key()
-		if iv.entries[k] != nil {
+		p, present := iv.entries.Ref(t)
+		if present {
 			return algebra.Delta{}, fmt.Errorf("cq: delta invoke duplicate insert %s", t)
 		}
 		e := &invEntry{tuple: t}
+		*p = e
 		refVal := t[iv.plan.SvcIdx]
 		if refVal.IsNull() {
 			e.ok = true // no service to call — contributes no output, ever
@@ -354,23 +305,22 @@ func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta,
 					iv.bp.ID(), iv.bp.ServiceAttr, refVal)
 			}
 			e.ref = ref
-			e.cacheKey = iv.bp.ID() + "|" + ref + "|" + t.Project(iv.plan.InIdx).Key()
+			e.cacheKey = query.ActionKey(iv.bp.ID(), ref, t.Project(iv.plan.InIdx))
 			iv.cacheRef[e.cacheKey]++
 		}
-		iv.entries[k] = e
 	}
 
 	// Everything unresolved retries this instant: fresh inserts, plus
 	// entries whose invocation failed or was absorbed at an earlier instant
 	// (the naive path re-invokes those every tick too — failed results are
 	// never cached). Sorted for deterministic invocation order.
-	var pending []string
-	for k, e := range iv.entries {
+	var pending []*invEntry
+	for _, e := range iv.entries.Values() {
 		if !e.ok {
-			pending = append(pending, k)
+			pending = append(pending, e)
 		}
 	}
-	sort.Strings(pending)
+	sort.Slice(pending, func(i, j int) bool { return pending[i].tuple.Compare(pending[j].tuple) < 0 })
 
 	cache := ev.q.invCache[iv.node]
 	staged := map[string][]value.Tuple{}
@@ -389,8 +339,7 @@ func (iv *deltaInvoke) applyInner(ev *evaluator, init bool, child algebra.Delta,
 		}
 	}
 	var missed []*invEntry
-	for _, k := range pending {
-		e := iv.entries[k]
+	for _, e := range pending {
 		if rows, ok := cache[e.cacheKey]; ok {
 			obsInvokeCacheHits.Inc()
 			*hits++
@@ -551,7 +500,7 @@ func compileDelta(e *Executor, q *Query) (*deltaProgram, error) {
 				return nil, perr
 			}
 			iv := &deltaInvoke{node: t, bp: bp, plan: plan}
-			iv.reset()
+			iv.Reset()
 			dn.op = iv
 		default:
 			return nil, fmt.Errorf("cq: no delta operator for %T", n)
@@ -577,23 +526,7 @@ func (p *deltaProgram) resetAll() {
 			op.gate.Reset()
 		case *deltaWindow:
 			op.gate.Reset()
-		case *deltaStream:
-			op.reset()
-		case *deltaInvoke:
-			op.reset()
-		case *algebra.DeltaSelect:
-			op.Reset()
-		case *algebra.DeltaProject:
-			op.Reset()
-		case *algebra.DeltaRename:
-			op.Reset()
-		case *algebra.DeltaAssign:
-			op.Reset()
-		case *algebra.DeltaJoin:
-			op.Reset()
-		case *algebra.DeltaSetOp:
-			op.Reset()
-		case *algebra.DeltaAggregate:
+		case interface{ Reset() }: // every other operator
 			op.Reset()
 		}
 		for _, k := range n.kids {
@@ -608,10 +541,10 @@ func (p *deltaProgram) resetAll() {
 
 // evalDelta runs one incremental tick for the query: it walks the compiled
 // tree bottom-up, then turns the root delta into (result relation, current
-// output map, inserted, deleted) for evalQuery's shared tail. cur is
+// output set, inserted, deleted) for evalQuery's shared tail. cur is
 // q.prevOutput mutated in place on steady-state ticks (O(k)); re-init
 // ticks rebuild it.
-func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur map[string]value.Tuple, inserted, deleted []value.Tuple, err error) {
+func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur *value.TupleMap[struct{}], inserted, deleted []value.Tuple, err error) {
 	q := ev.q
 	p := q.delta
 	init := !p.ready || p.lastAt != ev.at-1
@@ -623,7 +556,7 @@ func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur map[string]value.T
 		p.reinits.Add(1)
 		obsDeltaReinits.Inc()
 	}
-	fail := func(e error) (*algebra.XRelation, map[string]value.Tuple, []value.Tuple, []value.Tuple, error) {
+	fail := func(e error) (*algebra.XRelation, *value.TupleMap[struct{}], []value.Tuple, []value.Tuple, error) {
 		p.invalidate()
 		return nil, nil, nil, nil, e
 	}
@@ -632,44 +565,28 @@ func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur map[string]value.T
 		return fail(err)
 	}
 	if init {
-		cur = make(map[string]value.Tuple, len(d.Ins))
-		for _, t := range d.Ins {
-			cur[t.Key()] = t
-		}
-		for k, t := range cur {
-			if _, ok := q.prevOutput[k]; !ok {
-				inserted = append(inserted, t)
-			}
-		}
-		for k, t := range q.prevOutput {
-			if _, ok := cur[k]; !ok {
-				deleted = append(deleted, t)
-			}
-		}
-		res = algebra.FromKeyed(p.root.sch, cur)
+		cur = tupleSet(d.Ins)
+		inserted, deleted = missing(cur, q.prevOutput), missing(q.prevOutput, cur)
 	} else {
 		cur = q.prevOutput
 		for _, t := range d.Del {
-			k := t.Key()
-			if _, ok := cur[k]; !ok {
+			if !cur.Delete(t) {
 				return fail(fmt.Errorf("cq: delta output underflow on %s", t))
 			}
-			delete(cur, k)
 			deleted = append(deleted, t)
 		}
 		for _, t := range d.Ins {
-			k := t.Key()
-			if _, ok := cur[k]; ok {
+			if _, present := cur.Ref(t); present {
 				return fail(fmt.Errorf("cq: delta output duplicate insert %s", t))
 			}
-			cur[k] = t
 			inserted = append(inserted, t)
 		}
-		if d.Empty() && q.lastRes != nil {
-			res = q.lastRes // unchanged output: reuse last materialization
-		} else {
-			res = algebra.FromKeyed(p.root.sch, cur)
-		}
+	}
+	if !init && d.Empty() && q.lastRes != nil {
+		res = q.lastRes // unchanged output: reuse last materialization
+	} else {
+		// cur stays live as q.prevOutput, so the result wraps a copy.
+		res = algebra.FromSet(p.root.sch, cur.Clone())
 	}
 	p.ready = true
 	p.lastAt = ev.at
@@ -705,20 +622,14 @@ func (ev *evaluator) evalDeltaNode(n *deltaNode, init bool, from service.Instant
 		out, err = op.apply(ev, init, kids[0])
 	case *deltaInvoke:
 		out, err = op.apply(ev, init, kids[0])
-	case *algebra.DeltaSelect:
+	case interface {
+		Apply(algebra.Delta) (algebra.Delta, error)
+	}: // σ, π, ρ, α, aggregation
 		out, err = op.Apply(kids[0])
-	case *algebra.DeltaProject:
-		out, err = op.Apply(kids[0])
-	case *algebra.DeltaRename:
-		out, err = op.Apply(kids[0])
-	case *algebra.DeltaAssign:
-		out, err = op.Apply(kids[0])
-	case *algebra.DeltaJoin:
+	case interface {
+		Apply(l, r algebra.Delta) (algebra.Delta, error)
+	}: // ⋈ and the set operators
 		out, err = op.Apply(kids[0], kids[1])
-	case *algebra.DeltaSetOp:
-		out, err = op.Apply(kids[0], kids[1])
-	case *algebra.DeltaAggregate:
-		out, err = op.Apply(kids[0])
 	default:
 		err = fmt.Errorf("cq: no delta operator for %T", n.plan)
 	}

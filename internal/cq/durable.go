@@ -184,14 +184,8 @@ func (e *Executor) snapshotLocked() CheckpointState {
 			Stats:   stats,
 			Actions: q.actions.Sorted(),
 		}
-		keys := make([]string, 0, len(q.prevOutput))
-		for k := range q.prevOutput {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			qs.PrevOutput = append(qs.PrevOutput, q.prevOutput[k])
-		}
+		qs.PrevOutput = append(qs.PrevOutput, q.prevOutput.Keys()...)
+		value.SortTuples(qs.PrevOutput)
 		for i, inv := range q.invNodes {
 			cache := q.invCache[inv]
 			ckeys := make([]string, 0, len(cache))
@@ -204,14 +198,10 @@ func (e *Executor) snapshotLocked() CheckpointState {
 			}
 		}
 		for i, sn := range q.streamNodes {
-			prev := q.streamPrev[sn]
-			pkeys := make([]string, 0, len(prev))
-			for k := range prev {
-				pkeys = append(pkeys, k)
-			}
-			sort.Strings(pkeys)
-			for _, k := range pkeys {
-				qs.StreamPrev = append(qs.StreamPrev, StreamPrevEntry{Node: i, Tuple: prev[k]})
+			prev := append([]value.Tuple(nil), q.streamPrev[sn].Keys()...)
+			value.SortTuples(prev)
+			for _, t := range prev {
+				qs.StreamPrev = append(qs.StreamPrev, StreamPrevEntry{Node: i, Tuple: t})
 			}
 		}
 		st.Queries = append(st.Queries, qs)
@@ -248,10 +238,7 @@ func (e *Executor) Restore(st CheckpointState) error {
 		if !ok {
 			return fmt.Errorf("cq: restore: query %q not registered", qs.Name)
 		}
-		q.prevOutput = make(map[string]value.Tuple, len(qs.PrevOutput))
-		for _, t := range qs.PrevOutput {
-			q.prevOutput[t.Key()] = t
-		}
+		q.prevOutput = tupleSet(qs.PrevOutput)
 		q.invCache = map[*query.Invoke]map[string][]value.Tuple{}
 		for _, ce := range qs.InvCache {
 			if ce.Node < 0 || ce.Node >= len(q.invNodes) {
@@ -265,7 +252,7 @@ func (e *Executor) Restore(st CheckpointState) error {
 			}
 			cache[ce.Key] = ce.Rows
 		}
-		q.streamPrev = map[*query.Stream]map[string]value.Tuple{}
+		q.streamPrev = map[*query.Stream]*value.TupleMap[struct{}]{}
 		for _, se := range qs.StreamPrev {
 			if se.Node < 0 || se.Node >= len(q.streamNodes) {
 				return fmt.Errorf("cq: restore: query %q: stream node %d out of range (plan changed?)", qs.Name, se.Node)
@@ -273,10 +260,10 @@ func (e *Executor) Restore(st CheckpointState) error {
 			sn := q.streamNodes[se.Node]
 			prev := q.streamPrev[sn]
 			if prev == nil {
-				prev = map[string]value.Tuple{}
+				prev = &value.TupleMap[struct{}]{}
 				q.streamPrev[sn] = prev
 			}
-			prev[se.Tuple.Key()] = se.Tuple
+			prev.Put(se.Tuple, struct{}{})
 		}
 		q.mu.Lock()
 		q.stats = qs.Stats
@@ -381,7 +368,7 @@ func (e *Executor) SeedActive(queryName string, node int, bp, ref string, input 
 		cache = map[string][]value.Tuple{}
 		q.invCache[inv] = cache
 	}
-	key := bp + "|" + ref + "|" + input.Key()
+	key := query.ActionKey(bp, ref, input)
 	if completed && ok {
 		cache[key] = rows
 	} else {

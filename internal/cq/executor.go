@@ -74,8 +74,8 @@ type Executor struct {
 	// producer→consumer delta fast path all consult.
 	producers map[string]*Query
 	order     []string // query evaluation order (registration order)
-	sources []Source
-	now     service.Instant
+	sources   []Source
+	now       service.Instant
 	// parallelism bounds concurrent invocations per invocation operator.
 	parallelism int
 	// queryParallelism bounds how many independent queries one tick
@@ -213,7 +213,7 @@ type Query struct {
 
 	infinite   bool // root is a Stream node → result is a stream
 	out        *stream.XDRelation
-	prevOutput map[string]value.Tuple // previous instantaneous result, by key
+	prevOutput *value.TupleMap[struct{}] // previous instantaneous result
 
 	// into names the materialized output relation (REGISTER QUERY … INTO);
 	// "" means the output is registered under the query's own name and is
@@ -224,7 +224,7 @@ type Query struct {
 	retain service.Instant
 
 	invCache   map[*query.Invoke]map[string][]value.Tuple
-	streamPrev map[*query.Stream]map[string]value.Tuple
+	streamPrev map[*query.Stream]*value.TupleMap[struct{}]
 
 	// Plan nodes with cross-instant state, in DFS preorder. The indexes give
 	// invoke and stream nodes a stable identity that survives a restart (the
@@ -488,9 +488,9 @@ func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptio
 		out:        out,
 		into:       opts.Into,
 		retain:     opts.Retain,
-		prevOutput: map[string]value.Tuple{},
+		prevOutput: &value.TupleMap[struct{}]{},
 		invCache:   map[*query.Invoke]map[string][]value.Tuple{},
-		streamPrev: map[*query.Stream]map[string]value.Tuple{},
+		streamPrev: map[*query.Stream]*value.TupleMap[struct{}]{},
 		actions:    query.NewActionSet(),
 		lastDelta:  queryDelta{at: -1},
 	}
@@ -1055,7 +1055,7 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	evalStart := time.Now()
 	var (
 		res               *algebra.XRelation
-		cur               map[string]value.Tuple
+		cur               *value.TupleMap[struct{}]
 		inserted, deleted []value.Tuple
 		err               error
 	)
@@ -1102,23 +1102,11 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 		// Delta the instantaneous result against the previous instant (the
 		// incremental path derived all four pieces directly from the root
 		// operator's delta).
-		cur = map[string]value.Tuple{}
-		for _, t := range res.Tuples() {
-			cur[t.Key()] = t
-		}
-		for k, t := range cur {
-			if _, ok := q.prevOutput[k]; !ok {
-				inserted = append(inserted, t)
-			}
-		}
-		for k, t := range q.prevOutput {
-			if _, ok := cur[k]; !ok {
-				deleted = append(deleted, t)
-			}
-		}
+		cur = tupleSet(res.Tuples())
+		inserted, deleted = missing(cur, q.prevOutput), missing(q.prevOutput, cur)
 	}
-	sortTuples(inserted)
-	sortTuples(deleted)
+	value.SortTuples(inserted)
+	value.SortTuples(deleted)
 	if !q.infinite {
 		// Publish this tick's output delta for downstream consumers: the
 		// slices below are exactly what is applied to q.out, so a consumer's
@@ -1157,8 +1145,39 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	return nil
 }
 
-func sortTuples(ts []value.Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+// streamEmit returns what S[kind] emits at an instant, given its child's
+// set now (cur) and at the previous instant (prev): the tuples that
+// entered, the tuples that left, or (heartbeat) all of cur.
+func streamEmit(kind query.StreamKind, cur, prev *value.TupleMap[struct{}]) []value.Tuple {
+	switch kind {
+	case query.StreamInsertion:
+		return missing(cur, prev)
+	case query.StreamDeletion:
+		return missing(prev, cur)
+	}
+	return append([]value.Tuple(nil), cur.Keys()...)
+}
+
+// tupleSet returns the set of the given tuples.
+func tupleSet(ts []value.Tuple) *value.TupleMap[struct{}] {
+	s := value.NewTupleMap[struct{}](len(ts))
+	for _, t := range ts {
+		s.Put(t, struct{}{})
+	}
+	return s
+}
+
+// missing returns the tuples of a that b lacks: with a the current set
+// and b the previous one, the inserted tuples, and the other way round the
+// deleted ones. A nil set is empty.
+func missing(a, b *value.TupleMap[struct{}]) []value.Tuple {
+	var out []value.Tuple
+	for _, t := range a.Keys() {
+		if !b.Has(t) {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // producerDelta returns the (inserts, deletes) another query applied to
@@ -1210,7 +1229,7 @@ func (ev *evaluator) eval(n query.Node) (*algebra.XRelation, error) {
 		if x.Infinite() {
 			return nil, fmt.Errorf("stream %q used without a window", t.Name)
 		}
-		return ev.instantaneous(x)
+		return algebra.New(x.Schema(), ev.instantaneous(x))
 
 	case *query.Window:
 		base := t.Child.(*query.Base) // validated at registration
@@ -1231,32 +1250,10 @@ func (ev *evaluator) eval(n query.Node) (*algebra.XRelation, error) {
 		if err != nil {
 			return nil, err
 		}
-		prev := ev.q.streamPrev[t]
-		cur := map[string]value.Tuple{}
-		for _, tu := range child.Tuples() {
-			cur[tu.Key()] = tu
-		}
+		cur := tupleSet(child.Tuples())
+		emit := streamEmit(t.Kind, cur, ev.q.streamPrev[t])
 		ev.q.streamPrev[t] = cur
-		var emit []value.Tuple
-		switch t.Kind {
-		case query.StreamInsertion:
-			for k, tu := range cur {
-				if _, ok := prev[k]; !ok {
-					emit = append(emit, tu)
-				}
-			}
-		case query.StreamDeletion:
-			for k, tu := range prev {
-				if _, ok := cur[k]; !ok {
-					emit = append(emit, tu)
-				}
-			}
-		case query.StreamHeartbeat:
-			for _, tu := range cur {
-				emit = append(emit, tu)
-			}
-		}
-		sortTuples(emit)
+		value.SortTuples(emit)
 		if span := ev.ctx.Span.Child("cq.stream"); span != nil {
 			span.SetAttr("kind", t.Kind.String())
 			span.SetAttrInt("emitted", int64(len(emit)))
@@ -1341,16 +1338,12 @@ func (ev *evaluator) eval(n query.Node) (*algebra.XRelation, error) {
 	return nil, fmt.Errorf("cq: unsupported node %T", n)
 }
 
-// instantaneous converts an XD-Relation's multiset at the current instant
-// into a (set-semantics) X-Relation.
-func (ev *evaluator) instantaneous(x *stream.XDRelation) (*algebra.XRelation, error) {
-	var tuples []value.Tuple
+// instantaneous lists an XD-Relation's multiset at the current instant.
+func (ev *evaluator) instantaneous(x *stream.XDRelation) []value.Tuple {
 	if x.LastInstant() <= ev.at {
-		tuples = x.Current()
-	} else {
-		tuples = x.At(ev.at)
+		return x.Current()
 	}
-	return algebra.New(x.Schema(), tuples)
+	return x.At(ev.at)
 }
 
 // evalInvokeDelta implements the Section 4.2 invocation semantics: only
@@ -1362,10 +1355,7 @@ func (ev *evaluator) evalInvokeDelta(node *query.Invoke, child *algebra.XRelatio
 	if err != nil {
 		return nil, err
 	}
-	cache := ev.q.invCache[node]
-	if cache == nil {
-		cache = map[string][]value.Tuple{}
-	}
+	cache := ev.q.invCache[node] // only read: nil before the first tick
 	next := make(map[string][]value.Tuple, child.Len())
 
 	// We reuse algebra.Invoke but intercept per-tuple invocations with a
@@ -1437,19 +1427,9 @@ func (d *deltaInvoker) InvokeBatch(bp schema.BindingPattern, refs []string, inpu
 	missIdx := make([]int, 0, len(refs))
 	d.mu.Lock()
 	for i := range refs {
-		key := bp.ID() + "|" + refs[i] + "|" + inputs[i].Key()
-		keys[i] = key
-		if rows, ok := d.cache[key]; ok {
-			d.next[key] = rows
+		keys[i] = query.ActionKey(bp.ID(), refs[i], inputs[i])
+		if rows, ok := d.cachedLocked(keys[i]); ok {
 			out[i].Rows = rows
-			d.hits.Add(1)
-			obsInvokeCacheHits.Inc()
-			continue
-		}
-		if rows, ok := d.next[key]; ok {
-			out[i].Rows = rows
-			d.hits.Add(1)
-			obsInvokeCacheHits.Inc()
 			continue
 		}
 		missIdx = append(missIdx, i)
@@ -1480,24 +1460,30 @@ func (d *deltaInvoker) InvokeBatch(bp schema.BindingPattern, refs []string, inpu
 	return out
 }
 
+// cachedLocked looks key up in the previous instant's cache, carrying a
+// hit forward into this instant's, then in this instant's, and counts a
+// hit. Callers hold d.mu.
+func (d *deltaInvoker) cachedLocked(key string) ([]value.Tuple, bool) {
+	rows, ok := d.cache[key]
+	if ok {
+		d.next[key] = rows
+	} else if rows, ok = d.next[key]; !ok {
+		return nil, false
+	}
+	d.hits.Add(1)
+	obsInvokeCacheHits.Inc()
+	return rows, true
+}
+
 // Invoke implements algebra.Invoker. It is safe for concurrent use.
 func (d *deltaInvoker) Invoke(bp schema.BindingPattern, ref string, input value.Tuple) ([]value.Tuple, error) {
-	key := bp.ID() + "|" + ref + "|" + input.Key()
+	key := query.ActionKey(bp.ID(), ref, input)
 	d.mu.Lock()
-	if rows, ok := d.cache[key]; ok {
-		d.next[key] = rows
-		d.mu.Unlock()
-		obsInvokeCacheHits.Inc()
-		d.hits.Add(1)
-		return rows, nil
-	}
-	if rows, ok := d.next[key]; ok {
-		d.mu.Unlock()
-		obsInvokeCacheHits.Inc()
-		d.hits.Add(1)
-		return rows, nil
-	}
+	rows, ok := d.cachedLocked(key)
 	d.mu.Unlock()
+	if ok {
+		return rows, nil
+	}
 	obsInvokeCacheMisses.Inc()
 	d.misses.Add(1)
 
@@ -1522,8 +1508,7 @@ func (d *deltaInvoker) Invoke(bp schema.BindingPattern, ref string, input value.
 // failures and unknown replay outcomes — those retry next instant).
 func (ev *evaluator) invokePhysical(node *query.Invoke, bp schema.BindingPattern, ref string, input value.Tuple) (rows []value.Tuple, cacheable bool, err error) {
 	if bp.Active() && ev.replay != nil {
-		key := bp.ID() + "|" + ref + "|" + input.Key()
-		if ent, ok := ev.replay[key]; ok {
+		if ent, ok := ev.replay[query.ActionKey(bp.ID(), ref, input)]; ok {
 			// The action fired (or at least durably intended to) before the
 			// crash: it joins the action set and counts as physical, but is
 			// NEVER re-fired (Definition 8 — recovery must not duplicate

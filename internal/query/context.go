@@ -36,7 +36,15 @@ type Action struct {
 }
 
 // Key is the set identity of the action.
-func (a Action) Key() string { return a.BP + "|" + a.Ref + "|" + a.Input.Key() }
+func (a Action) Key() string { return ActionKey(a.BP, a.Ref, a.Input) }
+
+// ActionKey is the identity of one invocation of binding pattern bp on
+// service ref with an input tuple: "bp|ref|input.Key()". It keys action
+// sets, the continuous executor's invocation cache and the WAL replay
+// ledger. Checkpoints store these keys, so its bytes must not change.
+func ActionKey(bp, ref string, input value.Tuple) string {
+	return bp + "|" + ref + "|" + input.Key()
+}
 
 // String renders "(bp, ref, input)" like Example 6.
 func (a Action) String() string {

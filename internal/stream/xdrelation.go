@@ -41,8 +41,8 @@ type XDRelation struct {
 	infinite bool
 	events   []Event // ordered by At
 	lastAt   service.Instant
-	// current multiset (finite relations): tuple key → (tuple, count)
-	current map[string]*entry
+	// current multiset (finite relations): tuple → count
+	current value.TupleMap[int]
 	// onEvent, when set, observes every accepted event in log order (the
 	// durability layer appends them to its write-ahead log). Called with
 	// the relation lock held; the callback must not re-enter the relation.
@@ -57,20 +57,15 @@ type XDRelation struct {
 	ephemeral bool
 }
 
-type entry struct {
-	tuple value.Tuple
-	count int
-}
-
 // NewFinite creates a finite XD-Relation (a dynamic table: insertions and
 // deletions allowed, instantaneous relation always finite).
 func NewFinite(sch *schema.Extended) *XDRelation {
-	return &XDRelation{sch: sch, current: make(map[string]*entry), lastAt: -1}
+	return &XDRelation{sch: sch, lastAt: -1}
 }
 
 // NewInfinite creates an infinite XD-Relation (an append-only stream).
 func NewInfinite(sch *schema.Extended) *XDRelation {
-	return &XDRelation{sch: sch, infinite: true, current: make(map[string]*entry), lastAt: -1}
+	return &XDRelation{sch: sch, infinite: true, lastAt: -1}
 }
 
 // Schema returns the extended relation schema.
@@ -108,34 +103,7 @@ func (x *XDRelation) LastInstant() service.Instant {
 // Insert appends a tuple at the given instant. Instants must be
 // non-decreasing across all events.
 func (x *XDRelation) Insert(at service.Instant, t value.Tuple) error {
-	c, err := x.sch.RealRel().Conforms(t)
-	if err != nil {
-		return fmt.Errorf("stream: %s: %w", x.Name(), err)
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if at < x.lastAt {
-		return fmt.Errorf("stream: %s: event at instant %d before last instant %d", x.Name(), at, x.lastAt)
-	}
-	x.lastAt = at
-	ev := Event{At: at, Kind: Insert, Tuple: c}
-	x.events = append(x.events, ev)
-	// Ephemeral streams (the sys$ telemetry relations) skip the current
-	// multiset: it would grow one entry per appended row forever, and
-	// nothing reads Current() on a stream — evaluation goes through the
-	// event log, and checkpoints skip ephemeral relations entirely.
-	if !(x.infinite && x.ephemeral) {
-		k := c.Key()
-		if e, ok := x.current[k]; ok {
-			e.count++
-		} else {
-			x.current[k] = &entry{tuple: c, count: 1}
-		}
-	}
-	if x.onEvent != nil {
-		x.onEvent(ev)
-	}
-	return nil
+	return x.record(at, Insert, t)
 }
 
 // Delete removes one occurrence of the tuple at the given instant. Streams
@@ -145,6 +113,12 @@ func (x *XDRelation) Delete(at service.Instant, t value.Tuple) error {
 	if x.infinite {
 		return fmt.Errorf("stream: %s: streams are append-only", x.Name())
 	}
+	return x.record(at, Delete, t)
+}
+
+// record validates t and appends it as an event of the given kind,
+// keeping the current multiset in step.
+func (x *XDRelation) record(at service.Instant, kind EventKind, t value.Tuple) error {
 	c, err := x.sch.RealRel().Conforms(t)
 	if err != nil {
 		return fmt.Errorf("stream: %s: %w", x.Name(), err)
@@ -154,22 +128,31 @@ func (x *XDRelation) Delete(at service.Instant, t value.Tuple) error {
 	if at < x.lastAt {
 		return fmt.Errorf("stream: %s: event at instant %d before last instant %d", x.Name(), at, x.lastAt)
 	}
-	k := c.Key()
-	e, ok := x.current[k]
-	if !ok || e.count == 0 {
+	if kind == Delete && !x.current.Has(c) {
 		return fmt.Errorf("stream: %s: deleting absent tuple %s", x.Name(), c)
 	}
 	x.lastAt = at
-	ev := Event{At: at, Kind: Delete, Tuple: c}
+	ev := Event{At: at, Kind: kind, Tuple: c}
 	x.events = append(x.events, ev)
-	e.count--
-	if e.count == 0 {
-		delete(x.current, k)
+	// Ephemeral streams (the sys$ telemetry relations) skip the current
+	// multiset: it would grow one entry per appended row forever, and
+	// nothing reads Current() on a stream — evaluation goes through the
+	// event log, and checkpoints skip ephemeral relations entirely.
+	if !(x.infinite && x.ephemeral) {
+		value.AddCount(&x.current, c, kind.count())
 	}
 	if x.onEvent != nil {
 		x.onEvent(ev)
 	}
 	return nil
+}
+
+// count is the event's change to its tuple's multiplicity.
+func (k EventKind) count() int {
+	if k == Delete {
+		return -1
+	}
+	return 1
 }
 
 // Current returns the instantaneous multiset now (after all events),
@@ -179,18 +162,30 @@ func (x *XDRelation) Delete(at service.Instant, t value.Tuple) error {
 func (x *XDRelation) Current() []value.Tuple {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	keys := make([]string, 0, len(x.current))
-	for k := range x.current {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	return expand(&x.current)
+}
+
+// expand lists a counted multiset in the canonical tuple order, each tuple
+// repeated by its count.
+func expand(m *value.TupleMap[int]) []value.Tuple {
 	var out []value.Tuple
-	for _, k := range keys {
-		e := x.current[k]
-		for i := 0; i < e.count; i++ {
-			out = append(out, e.tuple)
+	for _, c := range sortedCounts(m) {
+		for i := 0; i < c.Count; i++ {
+			out = append(out, c.Tuple)
 		}
 	}
+	return out
+}
+
+// sortedCounts lists a counted multiset's entries in the canonical tuple
+// order (value.Tuple.Compare).
+func sortedCounts(m *value.TupleMap[int]) []Counted {
+	out := make([]Counted, 0, m.Len())
+	counts := m.Values()
+	for i, t := range m.Keys() {
+		out = append(out, Counted{Tuple: t, Count: counts[i]})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Compare(out[j].Tuple) < 0 })
 	return out
 }
 
@@ -200,70 +195,35 @@ func (x *XDRelation) Current() []value.Tuple {
 func (x *XDRelation) At(at service.Instant) []value.Tuple {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	counts := map[string]*entry{}
+	var counts value.TupleMap[int]
 	for _, ev := range x.events {
 		if ev.At > at {
 			break
 		}
-		k := ev.Tuple.Key()
-		e, ok := counts[k]
-		if !ok {
-			e = &entry{tuple: ev.Tuple}
-			counts[k] = e
-		}
-		if ev.Kind == Insert {
-			e.count++
-		} else {
-			e.count--
-		}
+		value.AddCount(&counts, ev.Tuple, ev.Kind.count())
 	}
-	keys := make([]string, 0, len(counts))
-	for k, e := range counts {
-		if e.count > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var out []value.Tuple
-	for _, k := range keys {
-		e := counts[k]
-		for i := 0; i < e.count; i++ {
-			out = append(out, e.tuple)
-		}
-	}
-	return out
+	return expand(&counts)
 }
 
 // InsertedIn returns the multiset of tuples inserted in the half-open
 // interval (from, to] — exactly the content the window operator W[period]
 // needs at instant τ with from = τ−period, to = τ (Section 4.2).
 func (x *XDRelation) InsertedIn(from, to service.Instant) []value.Tuple {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	var out []value.Tuple
-	for i := x.firstEventAfterLocked(from); i < len(x.events); i++ {
-		ev := x.events[i]
-		if ev.At > to {
-			break
-		}
-		if ev.Kind == Insert {
-			out = append(out, ev.Tuple)
-		}
-	}
-	return out
+	return x.tuplesIn(from, to, Insert)
 }
 
 // DeletedIn returns the multiset of tuples deleted in (from, to].
 func (x *XDRelation) DeletedIn(from, to service.Instant) []value.Tuple {
+	return x.tuplesIn(from, to, Delete)
+}
+
+// tuplesIn lists the tuples of the events of one kind in (from, to].
+func (x *XDRelation) tuplesIn(from, to service.Instant, kind EventKind) []value.Tuple {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	var out []value.Tuple
-	for i := x.firstEventAfterLocked(from); i < len(x.events); i++ {
-		ev := x.events[i]
-		if ev.At > to {
-			break
-		}
-		if ev.Kind == Delete {
+	for _, ev := range x.eventsInLocked(from, to) {
+		if ev.Kind == kind {
 			out = append(out, ev.Tuple)
 		}
 	}
@@ -277,20 +237,16 @@ func (x *XDRelation) DeletedIn(from, to service.Instant) []value.Tuple {
 func (x *XDRelation) EventsIn(from, to service.Instant) []Event {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	var out []Event
-	for i := x.firstEventAfterLocked(from); i < len(x.events); i++ {
-		ev := x.events[i]
-		if ev.At > to {
-			break
-		}
-		out = append(out, ev)
-	}
-	return out
+	return append([]Event(nil), x.eventsInLocked(from, to)...)
 }
 
-// firstEventAfterLocked binary-searches the first event with At > from.
-func (x *XDRelation) firstEventAfterLocked(from service.Instant) int {
-	return sort.Search(len(x.events), func(i int) bool { return x.events[i].At > from })
+// eventsInLocked returns the log's own slice of the events in (from, to].
+func (x *XDRelation) eventsInLocked(from, to service.Instant) []Event {
+	after := func(at service.Instant) int {
+		return sort.Search(len(x.events), func(i int) bool { return x.events[i].At > at })
+	}
+	i, j := after(from), after(to)
+	return x.events[i:max(i, j)]
 }
 
 // TrimBefore drops events at instants < before, bounding the log for
@@ -344,17 +300,7 @@ func (x *XDRelation) StateSnapshot() (events []Event, current []Counted, lastAt 
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	events = append([]Event(nil), x.events...)
-	keys := make([]string, 0, len(x.current))
-	for k := range x.current {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	current = make([]Counted, 0, len(keys))
-	for _, k := range keys {
-		e := x.current[k]
-		current = append(current, Counted{Tuple: e.tuple, Count: e.count})
-	}
-	return events, current, x.lastAt
+	return events, sortedCounts(&x.current), x.lastAt
 }
 
 // RestoreState replaces the relation's state with a snapshot previously
@@ -364,9 +310,9 @@ func (x *XDRelation) RestoreState(events []Event, current []Counted, lastAt serv
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.events = append([]Event(nil), events...)
-	x.current = make(map[string]*entry, len(current))
+	x.current.Clear()
 	for _, c := range current {
-		x.current[c.Tuple.Key()] = &entry{tuple: c.Tuple, count: c.Count}
+		x.current.Put(c.Tuple, c.Count)
 	}
 	x.lastAt = lastAt
 }

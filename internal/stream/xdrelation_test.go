@@ -221,3 +221,24 @@ func TestEventsIn(t *testing.T) {
 		t.Fatalf("EventsIn past the log = %v", evs)
 	}
 }
+
+// The two tuples share one Tuple.Key string (its 0x1f separator is not
+// escaped) but are distinct, so deleting the one never inserted must fail
+// and leave the other in place.
+func TestDeleteOfKeyTwinErrors(t *testing.T) {
+	x := stream.NewFinite(paperenv.SurveillanceSchema())
+	inserted := value.Tuple{value.NewString("a\x1fsb"), value.NewString("c")}
+	twin := value.Tuple{value.NewString("a"), value.NewString("b\x1fsc")}
+	if inserted.Key() != twin.Key() {
+		t.Fatal("fixture: the tuples must share a Key string")
+	}
+	if err := x.Insert(0, inserted); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Delete(1, twin); err == nil {
+		t.Fatal("deleting a never-inserted tuple succeeded")
+	}
+	if cur := x.Current(); len(cur) != 1 || !cur[0].Identical(inserted) {
+		t.Fatalf("current = %v, want only the inserted tuple", cur)
+	}
+}

@@ -292,7 +292,7 @@ func Identical(a, b Value) bool {
 // Key returns a string usable as a map key such that Key(a)==Key(b) iff the
 // values are identical (same kind and payload). Unlike Compare, Key
 // distinguishes Int(3) from Real(3.0) so it can serve as an exact identity
-// for memoization; set semantics over tuples use tuple keys built from it.
+// for memoization and the composite keys built from Tuple.Key.
 func (v Value) Key() string {
 	switch v.kind {
 	case Null:

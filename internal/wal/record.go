@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"serena/internal/query"
 	"serena/internal/service"
 	"serena/internal/value"
 )
@@ -82,7 +83,7 @@ type Record struct {
 
 // ActionKey is the delta-cache / ledger identity of an active invocation —
 // the same key the continuous executor caches invocation results under.
-func (r *Record) ActionKey() string { return r.BP + "|" + r.Ref + "|" + r.Input.Key() }
+func (r *Record) ActionKey() string { return query.ActionKey(r.BP, r.Ref, r.Input) }
 
 // encode appends the record's payload (without framing) to the encoder.
 func (r *Record) encode(e *encoder) {
