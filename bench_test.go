@@ -678,6 +678,49 @@ func BenchmarkDurableTick(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointSnapshot is the checkpoint rung of the per-layer
+// ladder: one executor Snapshot() of a window[1] stream that has received
+// h tuples, 100 per tick, and of the query reading it. The window reaches the last instant only, so the
+// snapshot's cost (ns, B and allocs per op) must not grow with h.
+func BenchmarkCheckpointSnapshot(b *testing.B) {
+	const perTick = 100
+	for _, h := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("history=%dk", h/1000), func(b *testing.B) {
+			exec := cq.NewExecutor(service.NewRegistry())
+			readings := stream.NewInfinite(schema.MustExtended("readings", []schema.ExtAttr{
+				{Attribute: schema.Attribute{Name: "n", Type: value.Int}},
+			}, nil))
+			if err := exec.AddRelation(readings); err != nil {
+				b.Fatal(err)
+			}
+			exec.AddSource(func(at service.Instant) error {
+				for i := 0; i < perTick; i++ {
+					if err := readings.Insert(at, value.Tuple{value.NewInt(int64(at)*perTick + int64(i))}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			// The selection keeps the query's own output empty, so the
+			// snapshot measures the stream's state and not the output's.
+			if _, err := exec.Register("none", query.NewSelect(query.NewWindow(query.NewBase("readings"), 1),
+				algebra.Compare(algebra.Attr("n"), algebra.Lt, algebra.Const(value.NewInt(0))))); err != nil {
+				b.Fatal(err)
+			}
+			if err := exec.RunUntil(service.Instant(h/perTick - 1)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if st := exec.Snapshot(); len(st.Relations) != 2 {
+					b.Fatalf("snapshot holds %d relations, want 2", len(st.Relations))
+				}
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Ablation A-3: action-set capture overhead — evaluating an active query
 // (capture on the hot path) vs a passive query of the same shape.

@@ -11,10 +11,10 @@ import (
 // DefaultDiffKeys selects the benchmarks the regression gate watches: the
 // invocation pipeline, the durable tick path, the incremental-vs-naive
 // evaluation sweeps, both aggregation paths (one-shot and per-change
-// delta), and the one-shot operators — the surfaces the batching,
-// delta-evaluation, exact-sum and tuple-identity work optimize and must not
-// regress.
-const DefaultDiffKeys = `^BenchmarkInvoke|^BenchmarkDurableTick|^BenchmarkDeltaInvocation|^BenchmarkAggregate|^BenchmarkDeltaAggregate|^BenchmarkOperators|^BenchmarkWindowSweep`
+// delta), the one-shot operators, tuple identity and the checkpoint
+// snapshot — the surfaces the batching, delta-evaluation, exact-sum,
+// tuple-identity and bounded-stream work optimize and must not regress.
+const DefaultDiffKeys = `^BenchmarkInvoke|^BenchmarkDurableTick|^BenchmarkDeltaInvocation|^BenchmarkAggregate|^BenchmarkDeltaAggregate|^BenchmarkOperators|^BenchmarkWindowSweep|^BenchmarkCheckpointSnapshot|^BenchmarkTupleIdentity`
 
 // Regression is one gated benchmark whose ns/op grew past the threshold.
 type Regression struct {

@@ -75,19 +75,44 @@ func TestDiffGatesOperatorsAndWindowSweep(t *testing.T) {
 		"BenchmarkOperators/join/n=10000": 20_000_000,
 		"BenchmarkOperators/union/n=1000": 500_000,
 		"BenchmarkWindowSweep/w=1000":     2_000_000,
-		"BenchmarkTupleIdentity/put/n=1k": 50_000, // not gated
+		"BenchmarkRewritePushdown":        50_000, // not gated
 	})
 	cur := report(map[string]float64{
 		"BenchmarkOperators/join/n=10000": 30_000_000, // +50% → regression
 		"BenchmarkOperators/union/n=1000": 550_000,    // +10% → within threshold
 		"BenchmarkWindowSweep/w=1000":     5_000_000,  // +150% → regression
-		"BenchmarkTupleIdentity/put/n=1k": 500_000,
+		"BenchmarkRewritePushdown":        500_000,
 	})
 	regs := Diff(cur, base, keys, 20)
 	if len(regs) != 2 {
 		t.Fatalf("regressions = %+v, want 2", regs)
 	}
 	if regs[0].Name != "BenchmarkWindowSweep/w=1000" || regs[1].Name != "BenchmarkOperators/join/n=10000" {
+		t.Fatalf("order = %s, %s", regs[0].Name, regs[1].Name)
+	}
+}
+
+func TestDiffGatesCheckpointSnapshotAndTupleIdentity(t *testing.T) {
+	keys := regexp.MustCompile(DefaultDiffKeys)
+	base := report(map[string]float64{
+		"BenchmarkCheckpointSnapshot/history=100k": 12_000,
+		"BenchmarkCheckpointSnapshot/history=10k":  12_000,
+		"BenchmarkTupleIdentity/put/n=16k":         1_000_000,
+		"BenchmarkTupleIdentity/get/n=1k":          30_000,
+		"BenchmarkOptimizerLatency":                100, // not gated
+	})
+	cur := report(map[string]float64{
+		"BenchmarkCheckpointSnapshot/history=100k": 6_000_000, // the full history again → regression
+		"BenchmarkCheckpointSnapshot/history=10k":  13_000,    // +8% → within threshold
+		"BenchmarkTupleIdentity/put/n=16k":         1_500_000, // +50% → regression
+		"BenchmarkTupleIdentity/get/n=1k":          31_000,    // +3% → within threshold
+		"BenchmarkOptimizerLatency":                1_000,
+	})
+	regs := Diff(cur, base, keys, 20)
+	if len(regs) != 2 {
+		t.Fatalf("regressions = %+v, want 2", regs)
+	}
+	if regs[0].Name != "BenchmarkCheckpointSnapshot/history=100k" || regs[1].Name != "BenchmarkTupleIdentity/put/n=16k" {
 		t.Fatalf("order = %s, %s", regs[0].Name, regs[1].Name)
 	}
 }

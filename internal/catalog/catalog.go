@@ -307,18 +307,14 @@ type catalogEnv struct {
 }
 
 // Relation implements query.Environment. Infinite relations are exposed
-// with their full insertion history (useful for one-shot inspection);
-// continuous queries go through the executor's window semantics instead.
+// as the multiset of their retained insertions (useful for one-shot
+// inspection): the full history of a stream nothing trims, the tail its
+// windows or RETAIN can reach otherwise. Continuous queries go through
+// the executor's window semantics instead.
 func (e catalogEnv) Relation(name string) (*algebra.XRelation, error) {
 	x, err := e.c.Relation(name)
 	if err != nil {
 		return nil, err
 	}
-	var tuples []value.Tuple
-	if x.LastInstant() <= e.at {
-		tuples = x.Current()
-	} else {
-		tuples = x.At(e.at)
-	}
-	return algebra.New(x.Schema(), tuples)
+	return algebra.New(x.Schema(), x.At(e.at))
 }

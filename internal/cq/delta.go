@@ -90,7 +90,7 @@ func (b *deltaBase) apply(ev *evaluator, init bool, from service.Instant) (algeb
 		return algebra.Delta{}, 0, fmt.Errorf("unknown relation %q", b.name)
 	}
 	if init {
-		tuples := ev.instantaneous(x)
+		tuples := x.At(ev.at)
 		d, err := b.gate.Apply(tuples, nil)
 		return d, len(tuples), err
 	}

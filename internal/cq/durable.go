@@ -41,8 +41,9 @@ type Durability interface {
 }
 
 // CheckpointState is the executor's entire cross-tick state: every
-// relation's event log and multiset, and every query's delta-cache,
-// streaming-operator memory, previous output, statistics and action set.
+// relation's event log (and a finite relation's multiset), and every
+// query's delta-cache, streaming-operator memory, previous output,
+// statistics and action set.
 // Restoring it into a fresh executor (after re-registering the same
 // queries) resumes continuous execution exactly where the snapshot was
 // taken.
@@ -58,7 +59,7 @@ type RelationState struct {
 	Derived bool // a continuous query's output relation
 	LastAt  service.Instant
 	Events  []stream.Event
-	Current []stream.Counted
+	Current []stream.Counted // finite relations; nil for a stream, ignored on restore
 }
 
 // QueryState snapshots one registered continuous query. Source is the

@@ -654,16 +654,18 @@ func (e *Executor) recordWindows(n query.Node) {
 }
 
 // trimStreams drops stream events that no registered window can reach any
-// more, bounding memory for long-running executions. Events are kept for
-// one extra instant of slack. Per-relation RETAIN policies add a second
-// horizon: an explicit RETAIN trims the relation (finite or infinite) to
-// its last n instants, and an infinite derived output with no policy
+// more, bounding memory for long-running executions. A stream keeps no
+// other state, so the trimmed log is all it holds, checkpoints and its
+// one-shot view (Current) included. Events are kept for one extra instant
+// of slack. Per-relation RETAIN policies add a second horizon: an
+// explicit RETAIN trims the relation (finite or infinite) to its last n
+// instants, and an infinite derived output with no policy
 // falls back to DefaultDerivedRetention so a cascaded stream query
 // holds bounded memory even with no windowed reader. When both a window
 // and a retention apply, the more conservative (least-trimming) horizon
 // wins, so RETAIN never starves a registered window. Base relations
 // without any windowed reader or retention are never trimmed automatically
-// (their full history may still be inspected via At or dumped).
+// (their full history may still be inspected via Current or At).
 func (e *Executor) trimStreams(at service.Instant) {
 	for name, x := range e.rels {
 		var retain service.Instant
@@ -1229,7 +1231,7 @@ func (ev *evaluator) eval(n query.Node) (*algebra.XRelation, error) {
 		if x.Infinite() {
 			return nil, fmt.Errorf("stream %q used without a window", t.Name)
 		}
-		return algebra.New(x.Schema(), ev.instantaneous(x))
+		return algebra.New(x.Schema(), x.At(ev.at))
 
 	case *query.Window:
 		base := t.Child.(*query.Base) // validated at registration
@@ -1336,14 +1338,6 @@ func (ev *evaluator) eval(n query.Node) (*algebra.XRelation, error) {
 		}
 	}
 	return nil, fmt.Errorf("cq: unsupported node %T", n)
-}
-
-// instantaneous lists an XD-Relation's multiset at the current instant.
-func (ev *evaluator) instantaneous(x *stream.XDRelation) []value.Tuple {
-	if x.LastInstant() <= ev.at {
-		return x.Current()
-	}
-	return x.At(ev.at)
 }
 
 // evalInvokeDelta implements the Section 4.2 invocation semantics: only

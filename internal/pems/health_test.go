@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"serena/internal/algebra"
 	"serena/internal/cq"
 	"serena/internal/pems"
 )
@@ -192,5 +193,38 @@ func TestHealthDeadManOverWire(t *testing.T) {
 	}
 	if !ok {
 		t.Fatalf("health report does not show the stalled stream: %+v", rep.Streams)
+	}
+}
+
+// TestOneShotOverSysMetrics checks that a one-shot query over the ephemeral
+// sys$metrics stream sees the rows the relation retains, as it does for any
+// other stream.
+func TestOneShotOverSysMetrics(t *testing.T) {
+	p, _, _, _ := newScenarioPEMS(t)
+	defer p.Close()
+	tel, err := p.EnableSelfTelemetry(cq.TelemetryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := p.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := tel.MetricsRelation()
+	if x.EventCount() == 0 {
+		t.Fatal("sys$metrics retains no events after 5 ticks")
+	}
+	want, err := algebra.New(x.Schema(), x.InsertedIn(-1, p.Now()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.OneShot("sys$metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Relation.Len() == 0 || !res.Relation.EqualContents(want) {
+		t.Fatalf("one-shot sys$metrics = %d rows, want the %d retained rows (%d events)",
+			res.Relation.Len(), want.Len(), x.EventCount())
 	}
 }

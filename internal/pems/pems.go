@@ -581,13 +581,7 @@ func (e pemsEnv) Relation(name string) (*algebra.XRelation, error) {
 	if !ok {
 		return nil, fmt.Errorf("pems: unknown relation %q", name)
 	}
-	var tuples []value.Tuple
-	if x.LastInstant() <= e.at {
-		tuples = x.Current()
-	} else {
-		tuples = x.At(e.at)
-	}
-	return algebra.New(x.Schema(), tuples)
+	return algebra.New(x.Schema(), x.At(e.at))
 }
 
 // UnregisterQuery removes a continuous query.

@@ -8,6 +8,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -41,7 +42,9 @@ type XDRelation struct {
 	infinite bool
 	events   []Event // ordered by At
 	lastAt   service.Instant
-	// current multiset (finite relations): tuple → count
+	// current multiset, kept for finite relations only: tuple → count. A
+	// stream's instantaneous relation is the multiset of its retained
+	// insert events (Section 4.2 reaches streams only through windows).
 	current value.TupleMap[int]
 	// onEvent, when set, observes every accepted event in log order (the
 	// durability layer appends them to its write-ahead log). Called with
@@ -134,11 +137,7 @@ func (x *XDRelation) record(at service.Instant, kind EventKind, t value.Tuple) e
 	x.lastAt = at
 	ev := Event{At: at, Kind: kind, Tuple: c}
 	x.events = append(x.events, ev)
-	// Ephemeral streams (the sys$ telemetry relations) skip the current
-	// multiset: it would grow one entry per appended row forever, and
-	// nothing reads Current() on a stream — evaluation goes through the
-	// event log, and checkpoints skip ephemeral relations entirely.
-	if !(x.infinite && x.ephemeral) {
+	if !x.infinite {
 		value.AddCount(&x.current, c, kind.count())
 	}
 	if x.onEvent != nil {
@@ -156,14 +155,10 @@ func (k EventKind) count() int {
 }
 
 // Current returns the instantaneous multiset now (after all events),
-// expanded to a tuple slice. Only meaningful for finite XD-Relations; for
-// streams it returns everything ever inserted and should be avoided in
-// favour of InsertedIn.
-func (x *XDRelation) Current() []value.Tuple {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return expand(&x.current)
-}
+// expanded to a tuple slice. For a stream it is the multiset of the
+// retained insert events: its whole history until TrimBefore drops a
+// prefix, the tail a window can still reach after.
+func (x *XDRelation) Current() []value.Tuple { return x.At(math.MaxInt64) }
 
 // expand lists a counted multiset in the canonical tuple order, each tuple
 // repeated by its count.
@@ -189,12 +184,17 @@ func sortedCounts(m *value.TupleMap[int]) []Counted {
 	return out
 }
 
-// At reconstructs the instantaneous multiset at instant τ by replaying the
-// event log (used for late observers and tests; live evaluation uses
-// Current/InsertedIn).
+// At returns the instantaneous multiset at instant τ. For a finite
+// relation at or after its last event that is the current multiset;
+// otherwise the retained event log is replayed up to τ, which is
+// unreliable for instants before a TrimBefore point. Live evaluation of
+// windows uses InsertedIn.
 func (x *XDRelation) At(at service.Instant) []value.Tuple {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
+	if !x.infinite && at >= x.lastAt {
+		return expand(&x.current)
+	}
 	var counts value.TupleMap[int]
 	for _, ev := range x.events {
 		if ev.At > at {
@@ -250,8 +250,9 @@ func (x *XDRelation) eventsInLocked(from, to service.Instant) []Event {
 }
 
 // TrimBefore drops events at instants < before, bounding the log for
-// long-running streams. The current multiset is unaffected; At() becomes
-// unreliable for instants before the trim point.
+// long-running streams. A finite relation's current multiset is
+// unaffected; a stream's Current() shrinks to the retained tail. At()
+// becomes unreliable for instants before the trim point.
 func (x *XDRelation) TrimBefore(before service.Instant) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -295,24 +296,33 @@ type Counted struct {
 }
 
 // StateSnapshot copies the relation's full durable state: the retained
-// event log, the current multiset, and the last event instant.
+// event log, the current multiset, and the last event instant. A stream
+// has no current multiset (its retained log is all its state), so its
+// current is nil.
 func (x *XDRelation) StateSnapshot() (events []Event, current []Counted, lastAt service.Instant) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	events = append([]Event(nil), x.events...)
-	return events, sortedCounts(&x.current), x.lastAt
+	if !x.infinite {
+		current = sortedCounts(&x.current)
+	}
+	return events, current, x.lastAt
 }
 
 // RestoreState replaces the relation's state with a snapshot previously
 // taken by StateSnapshot (checkpoint recovery). The snapshot is trusted:
-// tuples were validated when first inserted.
+// tuples were validated when first inserted. A stream ignores current, so
+// snapshots that still carry a stream's full insertion history restore to
+// the retained log alone.
 func (x *XDRelation) RestoreState(events []Event, current []Counted, lastAt service.Instant) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	x.events = append([]Event(nil), events...)
 	x.current.Clear()
-	for _, c := range current {
-		x.current.Put(c.Tuple, c.Count)
+	if !x.infinite {
+		for _, c := range current {
+			x.current.Put(c.Tuple, c.Count)
+		}
 	}
 	x.lastAt = lastAt
 }

@@ -153,9 +153,24 @@ func TestTrimBefore(t *testing.T) {
 	if got := x.InsertedIn(94, 99); len(got) != 5 {
 		t.Fatalf("window after trim = %d tuples", len(got))
 	}
-	// Current (everything ever inserted) is unaffected by the trim.
-	if got := x.Current(); len(got) != 100 {
-		t.Fatalf("Current after trim = %d", len(got))
+	// A stream keeps no multiset beside its log: Current is the retained
+	// tail, so the trim shrinks it to the last ten readings.
+	got := x.Current()
+	if len(got) != 10 {
+		t.Fatalf("Current after trim = %d, want 10", len(got))
+	}
+	for _, r := range got {
+		if r[2].Real() < 90 {
+			t.Fatalf("Current after trim holds trimmed reading %v", r)
+		}
+	}
+	// A finite relation's current multiset is unaffected by the trim.
+	f := stream.NewFinite(paperenv.SurveillanceSchema())
+	_ = f.Insert(1, value.Tuple{value.NewString("Carla"), value.NewString("office")})
+	_ = f.Insert(5, value.Tuple{value.NewString("Nicolas"), value.NewString("corridor")})
+	f.TrimBefore(5)
+	if got := f.Current(); len(got) != 2 {
+		t.Fatalf("finite Current after trim = %d, want 2", len(got))
 	}
 }
 
