@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race cover bench bench-check soak e2e chaos experiments fuzz examples fmt vet check clean
+.PHONY: all build test race cover bench bench-check soak e2e chaos experiments fuzz examples fmt vet check loc clean
 
 all: build vet test
 
@@ -105,6 +105,10 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines across the repo: the root module plus e2ebench.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './.git/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean -testcache

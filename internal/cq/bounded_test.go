@@ -31,12 +31,13 @@ func readingsSchema() *schema.Extended {
 	}, nil)
 }
 
-// TestStreamStateBounded runs a windowed base stream and an infinite
-// derived S[·] output for N and then 4N ticks, checkpointing every tick.
-// Everything a stream keeps — its Current view, its event log and its
-// checkpoint record — must be the same size at both lengths: a window
-// reaches a fixed number of instants, and a derived stream with no RETAIN
-// keeps DefaultDerivedRetention of them.
+// TestStreamStateBounded runs a windowed base stream, an infinite derived
+// S[·] output and a finite derived W[1] output for N and then 4N ticks,
+// checkpointing every tick. Everything each keeps — its Current view, its
+// event log and its checkpoint record — must be the same size at both
+// lengths: a window reaches a fixed number of instants, and a derived
+// output with no RETAIN, finite or not, keeps DefaultDerivedRetention of
+// them.
 func TestStreamStateBounded(t *testing.T) {
 	const perTick = 3
 	n := int(cq.DefaultDerivedRetention) + 44
@@ -58,6 +59,11 @@ func TestStreamStateBounded(t *testing.T) {
 	}
 	if _, err := exec.Register("feed", query.NewStream(
 		query.NewWindow(query.NewBase("readings"), 1), query.StreamInsertion)); err != nil {
+		t.Fatal(err)
+	}
+	// The whole window content churns every tick: perTick inserts and
+	// perTick deletes.
+	if _, err := exec.Register("latest", query.NewWindow(query.NewBase("readings"), 1)); err != nil {
 		t.Fatal(err)
 	}
 	var last cq.CheckpointState
@@ -85,11 +91,15 @@ func TestStreamStateBounded(t *testing.T) {
 	if err := exec.RunUntil(service.Instant(n - 1)); err != nil {
 		t.Fatal(err)
 	}
-	short := map[string]size{"readings": measure("readings"), "feed": measure("feed")}
+	names := []string{"readings", "feed", "latest"}
+	short := map[string]size{}
+	for _, name := range names {
+		short[name] = measure(name)
+	}
 	if err := exec.RunUntil(service.Instant(4*n - 1)); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"readings", "feed"} {
+	for _, name := range names {
 		if long := measure(name); long != short[name] || long.events == 0 {
 			t.Errorf("%s after %d ticks = %+v, after %d = %+v; want equal and non-empty",
 				name, n, short[name], 4*n, long)
@@ -102,6 +112,12 @@ func TestStreamStateBounded(t *testing.T) {
 	}
 	if got, want := short["feed"].events, int(cq.DefaultDerivedRetention)*perTick; got != want {
 		t.Errorf("feed retains %d events, want %d", got, want)
+	}
+	if got, want := short["latest"].events, int(cq.DefaultDerivedRetention)*2*perTick; got != want {
+		t.Errorf("latest retains %d events, want %d", got, want)
+	}
+	if got := short["latest"].current; got != perTick {
+		t.Errorf("latest holds %d tuples, want %d", got, perTick)
 	}
 }
 

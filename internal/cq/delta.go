@@ -31,8 +31,8 @@ package cq
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
+	"time"
 
 	"serena/internal/algebra"
 	"serena/internal/query"
@@ -61,16 +61,13 @@ func (p *deltaProgram) invalidate() { p.ready = false }
 
 // deltaNode is one operator of the compiled tree: the plan node it
 // implements, its derived schema, its children, the operator state (one of
-// the delta op types), and cumulative row counters for the delta report.
+// the delta op types), and its cumulative stats for the delta report.
 type deltaNode struct {
-	plan query.Node
-	sch  *schema.Extended
-	kids []*deltaNode
-	op   any
-
-	calls   atomic.Int64
-	rowsIn  atomic.Int64
-	rowsOut atomic.Int64
+	plan  query.Node
+	sch   *schema.Extended
+	kids  []*deltaNode
+	op    any
+	stats query.OpStats
 }
 
 // ---------------------------------------------------------------------------
@@ -142,23 +139,13 @@ func (w *deltaWindow) apply(ev *evaluator, init bool, from service.Instant) (alg
 	span.SetAttr("stream", w.name)
 	span.SetAttrInt("period", int64(w.period))
 	at := ev.at
+	var enter, leave []value.Tuple
 	if init {
-		enter := x.InsertedIn(at-w.period, at)
-		d, err := w.gate.Apply(enter, nil)
-		span.SetAttrInt("rows", int64(len(enter)))
-		span.Finish()
-		return d, len(enter), err
+		enter = x.InsertedIn(at-w.period, at)
+	} else {
+		enter = x.InsertedIn(max(from, at-w.period), at)
+		leave = x.InsertedIn(from-w.period, min(from, at-w.period))
 	}
-	enterFrom := from
-	if at-w.period > enterFrom {
-		enterFrom = at - w.period
-	}
-	enter := x.InsertedIn(enterFrom, at)
-	leaveTo := at - w.period
-	if from < leaveTo {
-		leaveTo = from
-	}
-	leave := x.InsertedIn(from-w.period, leaveTo)
 	d, err := w.gate.Apply(enter, leave)
 	span.SetAttrInt("rows", int64(len(enter)+len(leave)))
 	span.Finish()
@@ -244,30 +231,15 @@ func (iv *deltaInvoke) Reset() {
 	iv.cacheRef = map[string]int{}
 }
 
-// apply wraps the operator in the same "cq.invoke" span the naive path
-// records, re-parenting per-tuple β spans under it for the duration (the
-// delta tree evaluates sequentially; parallel per-tuple invocations only
-// read ctx.Span). The cache_hits/cache_misses attrs count actual §4.2
-// cache consults — on a steady delta tick with no operand churn they are
-// both zero, because persisting tuples never reach the cache at all.
-func (iv *deltaInvoke) apply(ev *evaluator, init bool, child algebra.Delta) (algebra.Delta, error) {
-	var hits, misses int64
-	opSpan := ev.ctx.Span.Child("cq.invoke")
-	if opSpan != nil {
-		opSpan.SetAttr("bp", iv.bp.ID())
-		saved := ev.ctx.Span
-		ev.ctx.Span = opSpan
-		defer func() { ev.ctx.Span = saved }()
-	}
-	out, err := iv.applyInner(ev, init, child, &hits, &misses)
-	if opSpan != nil {
-		opSpan.SetAttrInt("cache_hits", hits)
-		opSpan.SetAttrInt("cache_misses", misses)
-		if err != nil {
-			opSpan.SetAttr("error", err.Error())
-		}
-		opSpan.Finish()
-	}
+// apply records the same "cq.invoke" span the naive path does. Its
+// cache_hits/cache_misses attrs count actual §4.2 cache consults — on a
+// steady delta tick with no operand churn they are both zero, because
+// persisting tuples never reach the cache at all.
+func (iv *deltaInvoke) apply(ev *evaluator, init bool, child algebra.Delta) (out algebra.Delta, err error) {
+	err = tracedInvoke(ev.ctx, iv.bp, func() (hits, misses int64, err error) {
+		out, err = iv.applyInner(ev, init, child, &hits, &misses)
+		return hits, misses, err
+	})
 	return out, err
 }
 
@@ -595,12 +567,15 @@ func (ev *evaluator) evalDelta() (res *algebra.XRelation, cur *value.TupleMap[st
 }
 
 // evalDeltaNode evaluates one operator: children first, then the node's
-// delta op, recording per-node row counters.
+// delta op, recording the node's OpStats (rows_in is its children's
+// emitted rows, or the events a source consumed; wall covers the subtree).
 func (ev *evaluator) evalDeltaNode(n *deltaNode, init bool, from service.Instant) (algebra.Delta, error) {
+	start := time.Now()
 	kids := make([]algebra.Delta, len(n.kids))
 	for i, k := range n.kids {
 		d, err := ev.evalDeltaNode(k, init, from)
 		if err != nil {
+			n.stats.Record(0, 0, time.Since(start), err)
 			return algebra.Delta{}, err
 		}
 		kids[i] = d
@@ -633,17 +608,16 @@ func (ev *evaluator) evalDeltaNode(n *deltaNode, init bool, from service.Instant
 	default:
 		err = fmt.Errorf("cq: no delta operator for %T", n.plan)
 	}
-	if err != nil {
-		return algebra.Delta{}, err
-	}
 	if self {
 		for _, d := range kids {
 			in += d.Rows()
 		}
 	}
-	n.calls.Add(1)
-	n.rowsIn.Add(int64(in))
-	n.rowsOut.Add(int64(out.Rows()))
+	if err != nil {
+		n.stats.Record(int64(in), 0, time.Since(start), err)
+		return algebra.Delta{}, err
+	}
+	n.stats.Record(int64(in), int64(out.Rows()), time.Since(start), nil)
 	obsDeltaRowsIn.Add(int64(in))
 	obsDeltaRowsOut.Add(int64(out.Rows()))
 	return out, nil
@@ -697,47 +671,29 @@ func (q *Query) EvalCounts() (delta, naive int64) {
 	return q.deltaTicks, q.naiveTicks
 }
 
-// DeltaReport renders the compiled delta program with cumulative per-
-// operator row counts, one operator per line in plan order — the
-// continuous-query analogue of EXPLAIN ANALYZE:
+// DeltaReport renders the compiled delta program with each operator's
+// cumulative OpStats, one operator per line in plan order — the
+// continuous-query analogue of EXPLAIN ANALYZE, in the same format:
 //
-//	select[temp > 30]   calls=12 rows_in=3 rows_out=1
-//	  window[5]         calls=12 rows_in=7 rows_out=7
+//	delta program: 12 tick(s), 1 re-init(s)
+//	select[temp > 30]  calls=12 rows_in=7 rows_out=1 time=85µs self=40µs
+//	  window[5]        calls=12 rows_in=7 rows_out=7 time=45µs self=45µs
 //
-// Returns "" when the query has no delta program.
+// A window reads its base stream's event log directly, so the base has no
+// line. Returns "" when the query has no delta program.
 func (q *Query) DeltaReport() string {
 	if q.delta == nil {
 		return ""
 	}
-	type line struct {
-		label string
-		n     *deltaNode
-		depth int
-	}
-	var lines []line
-	var walk func(n *deltaNode, depth int)
-	walk = func(n *deltaNode, depth int) {
-		lines = append(lines, line{query.OpLabel(n.plan), n, depth})
+	ops := map[query.Node]*query.OpStats{}
+	var walk func(n *deltaNode)
+	walk = func(n *deltaNode) {
+		ops[n.plan] = &n.stats
 		for _, k := range n.kids {
-			walk(k, depth+1)
+			walk(k)
 		}
 	}
-	walk(q.delta.root, 0)
-	width := 0
-	for _, l := range lines {
-		if w := 2*l.depth + len([]rune(l.label)); w > width {
-			width = w
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "delta program: %d tick(s), %d re-init(s)\n",
-		q.delta.ticks.Load(), q.delta.reinits.Load())
-	for _, l := range lines {
-		indented := strings.Repeat("  ", l.depth) + l.label
-		pad := width - len([]rune(indented))
-		fmt.Fprintf(&b, "%s%s  calls=%d rows_in=%d rows_out=%d\n",
-			indented, strings.Repeat(" ", pad),
-			l.n.calls.Load(), l.n.rowsIn.Load(), l.n.rowsOut.Load())
-	}
-	return b.String()
+	walk(q.delta.root)
+	return fmt.Sprintf("delta program: %d tick(s), %d re-init(s)\n", q.delta.ticks.Load(), q.delta.reinits.Load()) +
+		query.RenderOps(q.plan, ops)
 }

@@ -248,9 +248,8 @@ func TestDerivedRetentionDefault(t *testing.T) {
 }
 
 // TestExplicitRetainTrimsFiniteOutput: RETAIN bounds a finite materialized
-// relation's event log — window-based trimming never applies to finite
-// relations, so without RETAIN the churn log would keep every tick's
-// insert+delete pair forever.
+// relation's event log to its last n instants — without it the churn log
+// keeps DefaultDerivedRetention instants of insert+delete pairs.
 func TestExplicitRetainTrimsFiniteOutput(t *testing.T) {
 	s := newScenario(t)
 	if _, err := s.exec.RegisterWith("snap", query.NewWindow(query.NewBase("temperatures"), 1),

@@ -103,6 +103,8 @@ type Executor struct {
 	// telemetry, when enabled, owns the sys$ system relations and the
 	// health scraper source (see telemetry.go).
 	telemetry *Telemetry
+	// lagGauges holds each stream's cq.stream.lag gauge (guarded by mu).
+	lagGauges map[string]*obs.Gauge
 }
 
 // Source is a data producer pumped at the start of every tick, before
@@ -117,6 +119,7 @@ func NewExecutor(reg *service.Registry) *Executor {
 		queries:   make(map[string]*Query),
 		producers: make(map[string]*Query),
 		maxWindow: make(map[string]service.Instant),
+		lagGauges: make(map[string]*obs.Gauge),
 		now:       -1,
 	}
 }
@@ -249,6 +252,8 @@ type Query struct {
 	// lastEvalNS is the wall-clock cost of the query's latest evaluation,
 	// compared against the tick budget by the health state machine.
 	lastEvalNS int64
+	// evalGauge publishes it as cq.query.eval_ns{name}.
+	evalGauge *obs.Gauge
 
 	// degradation selects the query's β failure policy (guarded by mu;
 	// resilience.Default behaves like SkipTuple here).
@@ -307,8 +312,8 @@ func (q *Query) Output() *stream.XDRelation { return q.out }
 func (q *Query) Into() string { return q.into }
 
 // Retain returns the output relation's explicit RETAIN horizon in
-// instants (0 = none configured; infinite materialized outputs then fall
-// back to DefaultDerivedRetention).
+// instants (0 = none configured; the output then falls back to
+// DefaultDerivedRetention).
 func (q *Query) Retain() service.Instant { return q.retain }
 
 // IsMaterialized reports whether the query materializes its output into a
@@ -402,9 +407,9 @@ func (s schemaEnv) Relation(name string) (*algebra.XRelation, error) {
 }
 
 // DefaultDerivedRetention is the event-log horizon, in instants, applied
-// to an infinite derived output relation whose query declares no RETAIN
-// clause. Without it a cascaded stream query with no windowed reader would
-// grow its event log without bound.
+// to a derived output relation whose query declares no RETAIN clause.
+// Without it a derived output's event log would grow by every tick's churn
+// without bound.
 const DefaultDerivedRetention service.Instant = 256
 
 // RegisterOptions carries the optional clauses of REGISTER QUERY.
@@ -414,7 +419,7 @@ type RegisterOptions struct {
 	// replay rather than WAL-logged).
 	Into string
 	// Retain bounds the output relation's event log to the last n instants
-	// (0 = no explicit policy; infinite INTO outputs then default to
+	// (0 = no explicit policy; the output then defaults to
 	// DefaultDerivedRetention).
 	Retain service.Instant
 }
@@ -493,6 +498,7 @@ func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptio
 		streamPrev: map[*query.Stream]*value.TupleMap[struct{}]{},
 		actions:    query.NewActionSet(),
 		lastDelta:  queryDelta{at: -1},
+		evalGauge:  obs.Default.Gauge(obs.Key("cq.query.eval_ns", name)),
 	}
 	q.indexPlanNodes()
 	e.computeHasActive(q)
@@ -529,8 +535,7 @@ func (e *Executor) RegisterWith(name string, plan query.Node, opts RegisterOptio
 // index (durable node identity for WAL records and checkpoints).
 func (q *Query) indexPlanNodes() {
 	q.invIdx = map[*query.Invoke]int{}
-	var walk func(n query.Node)
-	walk = func(n query.Node) {
+	query.Walk(q.plan, func(n query.Node) {
 		switch t := n.(type) {
 		case *query.Invoke:
 			q.invIdx[t] = len(q.invNodes)
@@ -538,11 +543,7 @@ func (q *Query) indexPlanNodes() {
 		case *query.Stream:
 			q.streamNodes = append(q.streamNodes, t)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(q.plan)
+	})
 }
 
 // SetDegradation selects a registered query's β failure policy:
@@ -639,18 +640,14 @@ func (e *Executor) Unregister(name string) error {
 // recordWindows updates the per-stream retention horizon from a plan's
 // window operators (never shrinks: unregistered queries keep their horizon
 // to stay conservative).
-func (e *Executor) recordWindows(n query.Node) {
-	if w, ok := n.(*query.Window); ok {
-		if base, ok := w.Child.(*query.Base); ok {
-			p := service.Instant(w.Period)
-			if p > e.maxWindow[base.Name] {
-				e.maxWindow[base.Name] = p
+func (e *Executor) recordWindows(plan query.Node) {
+	query.Walk(plan, func(n query.Node) {
+		if w, ok := n.(*query.Window); ok {
+			if base, ok := w.Child.(*query.Base); ok {
+				e.maxWindow[base.Name] = max(e.maxWindow[base.Name], service.Instant(w.Period))
 			}
 		}
-	}
-	for _, c := range n.Children() {
-		e.recordWindows(c)
-	}
+	})
 }
 
 // trimStreams drops stream events that no registered window can reach any
@@ -659,9 +656,10 @@ func (e *Executor) recordWindows(n query.Node) {
 // one-shot view (Current) included. Events are kept for one extra instant
 // of slack. Per-relation RETAIN policies add a second horizon: an
 // explicit RETAIN trims the relation (finite or infinite) to its last n
-// instants, and an infinite derived output with no policy
-// falls back to DefaultDerivedRetention so a cascaded stream query
-// holds bounded memory even with no windowed reader. When both a window
+// instants, and a derived output with no policy falls back to
+// DefaultDerivedRetention, so a cascaded query holds bounded memory even
+// with no windowed reader (a finite output keeps its current multiset,
+// which is all a lagging consumer re-initializes from). When both a window
 // and a retention apply, the more conservative (least-trimming) horizon
 // wins, so RETAIN never starves a registered window. Base relations
 // without any windowed reader or retention are never trimmed automatically
@@ -671,17 +669,19 @@ func (e *Executor) trimStreams(at service.Instant) {
 		var retain service.Instant
 		if q := e.producers[name]; q != nil {
 			retain = q.retain
-			if retain == 0 && x.Infinite() {
+			if retain == 0 {
 				retain = DefaultDerivedRetention
 			}
 		}
+		// A window reads its relation's log, finite or not; only a stream
+		// is trimmed for its windows alone (a finite relation's log is
+		// also its history for At).
 		period, windowed := e.maxWindow[name]
-		windowed = windowed && x.Infinite() // finite windows read Current, not the log
 		var horizon service.Instant
 		switch {
 		case windowed && retain > 0:
 			horizon = min(at-period-1, at-retain+1)
-		case windowed:
+		case windowed && x.Infinite():
 			horizon = at - period - 1
 		case retain > 0:
 			horizon = at - retain + 1
@@ -954,18 +954,13 @@ func stageQueries(order []string, qs []*Query) [][]int {
 }
 
 // planBaseNames collects every base-relation name a plan reads.
-func planBaseNames(n query.Node) []string {
+func planBaseNames(plan query.Node) []string {
 	var out []string
-	var walk func(query.Node)
-	walk = func(n query.Node) {
+	query.Walk(plan, func(n query.Node) {
 		if b, ok := n.(*query.Base); ok {
 			out = append(out, b.Name)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
+	})
 	return out
 }
 
@@ -1002,7 +997,12 @@ func (e *Executor) recordLag(at service.Instant) {
 		if last < 0 {
 			lag = LagNeverProduced
 		}
-		obs.Default.Gauge(obs.Key("cq.stream.lag", name)).Set(lag)
+		g := e.lagGauges[name]
+		if g == nil {
+			g = obs.Default.Gauge(obs.Key("cq.stream.lag", name))
+			e.lagGauges[name] = g
+		}
+		g.Set(lag)
 	}
 }
 
@@ -1022,7 +1022,7 @@ func (e *Executor) RunUntil(at service.Instant) error {
 // non-nil during recovery, carries the tick's logged active-invocation
 // outcomes; live ticks pass nil.
 func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, replay ReplayLedger) error {
-	ctx := query.NewContext(schemaEnv{e}, e.reg, at)
+	ctx := query.NewContext(nil, e.reg, at)
 	e.mu.Lock()
 	ctx.Parallelism = e.parallelism
 	ctx.BatchSize = e.batchSize
@@ -1031,6 +1031,7 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	qspan.SetAttr("query", q.name)
 	ctx.Span = qspan
 	ev := &evaluator{exec: e, q: q, ctx: ctx, at: at, replay: replay}
+	ctx.Env, ctx.Continuous = ev, ev
 	// The query's degradation policy decides what β does with a failing
 	// device; continuous queries default to SkipTuple so one flaky sensor
 	// degrades a standing query to partial results instead of killing it.
@@ -1064,13 +1065,13 @@ func (e *Executor) evalQuery(q *Query, at service.Instant, tick *trace.Span, rep
 	if useDelta {
 		res, cur, inserted, deleted, err = ev.evalDelta()
 	} else {
-		res, err = ev.eval(q.plan)
+		res, err = q.plan.Eval(ctx)
 	}
 	evalElapsed := time.Since(evalStart)
 	ctx.PublishObsStats()
 	obsQueryEvals.Inc()
 	obsQueryEvalTime.Observe(evalElapsed)
-	obs.Default.Gauge(obs.Key("cq.query.eval_ns", q.name)).Set(int64(evalElapsed))
+	q.evalGauge.Set(int64(evalElapsed))
 	if err != nil {
 		qspan.SetAttr("error", err.Error())
 		qspan.Finish()
@@ -1207,7 +1208,11 @@ func (e *Executor) producerDelta(name string, from, at service.Instant) (ins, de
 	return q.lastDelta.ins, q.lastDelta.del, true
 }
 
-// evaluator computes instantaneous relations for one (query, instant).
+// evaluator computes instantaneous relations for one (query, instant). For
+// the naive path it is the plan's environment and continuous hooks: the
+// plan's own Eval walks the one-shot algebra over instantaneous relations,
+// and the hooks below add Section 4's window, streaming and invocation
+// semantics. The delta program (delta.go) evaluates through it too.
 type evaluator struct {
 	exec *Executor
 	q    *Query
@@ -1218,137 +1223,58 @@ type evaluator struct {
 	replay ReplayLedger
 }
 
-// eval dispatches on node type. Window, Stream and Invoke get time-aware
-// semantics; everything else mirrors one-shot evaluation over the
-// instantaneous operand relations.
-func (ev *evaluator) eval(n query.Node) (*algebra.XRelation, error) {
-	switch t := n.(type) {
-	case *query.Base:
-		x, ok := ev.exec.rels[t.Name]
-		if !ok {
-			return nil, fmt.Errorf("unknown relation %q", t.Name)
-		}
-		if x.Infinite() {
-			return nil, fmt.Errorf("stream %q used without a window", t.Name)
-		}
-		return algebra.New(x.Schema(), x.At(ev.at))
-
-	case *query.Window:
-		base := t.Child.(*query.Base) // validated at registration
-		x, ok := ev.exec.rels[base.Name]
-		if !ok {
-			return nil, fmt.Errorf("unknown relation %q", base.Name)
-		}
-		span := ev.ctx.Span.Child("cq.window")
-		span.SetAttr("stream", base.Name)
-		span.SetAttrInt("period", int64(t.Period))
-		tuples := x.InsertedIn(ev.at-service.Instant(t.Period), ev.at)
-		span.SetAttrInt("rows", int64(len(tuples)))
-		span.Finish()
-		return algebra.New(x.Schema(), tuples)
-
-	case *query.Stream:
-		child, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		cur := tupleSet(child.Tuples())
-		emit := streamEmit(t.Kind, cur, ev.q.streamPrev[t])
-		ev.q.streamPrev[t] = cur
-		value.SortTuples(emit)
-		if span := ev.ctx.Span.Child("cq.stream"); span != nil {
-			span.SetAttr("kind", t.Kind.String())
-			span.SetAttrInt("emitted", int64(len(emit)))
-			span.Finish()
-		}
-		return algebra.New(child.Schema(), emit)
-
-	case *query.Invoke:
-		child, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return ev.evalInvokeDelta(t, child)
-
-	case *query.Aggregate:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Aggregate(c, t.GroupBy, t.Aggs)
-
-	case *query.Project:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Project(c, t.Attrs)
-
-	case *query.Select:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Select(c, t.Formula)
-
-	case *query.Rename:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.Rename(c, t.Old, t.New)
-
-	case *query.Assign:
-		c, err := ev.eval(t.Child)
-		if err != nil {
-			return nil, err
-		}
-		if t.Src != "" {
-			return algebra.AssignAttr(c, t.Attr, t.Src)
-		}
-		return algebra.AssignConst(c, t.Attr, t.Const)
-
-	case *query.Join:
-		l, err := ev.eval(t.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.eval(t.Right)
-		if err != nil {
-			return nil, err
-		}
-		return algebra.NaturalJoin(l, r)
-
-	case *query.SetOp:
-		l, err := ev.eval(t.Left)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ev.eval(t.Right)
-		if err != nil {
-			return nil, err
-		}
-		switch t.Kind {
-		case query.UnionOp:
-			return algebra.Union(l, r)
-		case query.IntersectOp:
-			return algebra.Intersect(l, r)
-		case query.DiffOp:
-			return algebra.Diff(l, r)
-		}
+// Relation implements query.Environment: a finite relation's
+// instantaneous contents at τ. A stream has no instantaneous relation; it
+// is read only through a window (validated at registration).
+func (ev *evaluator) Relation(name string) (*algebra.XRelation, error) {
+	x, ok := ev.exec.rels[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown relation %q", name)
 	}
-	return nil, fmt.Errorf("cq: unsupported node %T", n)
+	if x.Infinite() {
+		return nil, fmt.Errorf("stream %q used without a window", name)
+	}
+	return algebra.New(x.Schema(), x.At(ev.at))
 }
 
-// evalInvokeDelta implements the Section 4.2 invocation semantics: only
-// tuples newly inserted into the operand trigger invocations; persisting
-// tuples reuse the outputs computed when they first appeared. The cache is
-// keyed by input-tuple identity and pruned to the current operand.
-func (ev *evaluator) evalInvokeDelta(node *query.Invoke, child *algebra.XRelation) (*algebra.XRelation, error) {
-	bp, err := child.Schema().FindBP(node.Proto, node.ServiceAttr)
-	if err != nil {
-		return nil, err
+// EvalWindow implements query.ContinuousHooks: W[period] is the multiset
+// of tuples inserted into its base stream during the last period instants.
+func (ev *evaluator) EvalWindow(w *query.Window, ctx *query.Context) (*algebra.XRelation, error) {
+	base := w.Child.(*query.Base) // validated at registration
+	x, ok := ev.exec.rels[base.Name]
+	if !ok {
+		return nil, fmt.Errorf("unknown relation %q", base.Name)
 	}
+	span := ctx.Span.Child("cq.window")
+	span.SetAttr("stream", base.Name)
+	span.SetAttrInt("period", int64(w.Period))
+	tuples := x.InsertedIn(ev.at-service.Instant(w.Period), ev.at)
+	span.SetAttrInt("rows", int64(len(tuples)))
+	span.Finish()
+	return algebra.New(x.Schema(), tuples)
+}
+
+// EvalStream implements query.ContinuousHooks: S[kind] emits what entered
+// or left its operand since the previous instant, or (heartbeat) all of it.
+func (ev *evaluator) EvalStream(s *query.Stream, child *algebra.XRelation, ctx *query.Context) (*algebra.XRelation, error) {
+	cur := tupleSet(child.Tuples())
+	emit := streamEmit(s.Kind, cur, ev.q.streamPrev[s])
+	ev.q.streamPrev[s] = cur
+	value.SortTuples(emit)
+	if span := ctx.Span.Child("cq.stream"); span != nil {
+		span.SetAttr("kind", s.Kind.String())
+		span.SetAttrInt("emitted", int64(len(emit)))
+		span.Finish()
+	}
+	return algebra.New(child.Schema(), emit)
+}
+
+// EvalInvoke implements query.ContinuousHooks with the Section 4.2
+// invocation semantics: only tuples newly inserted into the operand
+// trigger invocations; persisting tuples reuse the outputs computed when
+// they first appeared. The cache is keyed by (bp, ref, input) and pruned
+// to the current operand.
+func (ev *evaluator) EvalInvoke(node *query.Invoke, child *algebra.XRelation, bp schema.BindingPattern, ctx *query.Context) (*algebra.XRelation, error) {
 	cache := ev.q.invCache[node] // only read: nil before the first tick
 	next := make(map[string][]value.Tuple, child.Len())
 
@@ -1357,32 +1283,41 @@ func (ev *evaluator) evalInvokeDelta(node *query.Invoke, child *algebra.XRelatio
 	// outputs depend only on that triple, and a persisting operand tuple
 	// produces the same triple at every instant, so it is never re-invoked.
 	cachingInvoker := &deltaInvoker{ev: ev, node: node, cache: cache, next: next}
-
-	// On a sampled tick, wrap the operator in a "cq.invoke" span and make
-	// it the parent of the per-tuple β spans for the duration of the call
-	// (evaluation walks the plan sequentially, so swapping ctx.Span is
-	// safe; parallel per-tuple invocations only read it).
-	opSpan := ev.ctx.Span.Child("cq.invoke")
-	if opSpan != nil {
-		opSpan.SetAttr("bp", bp.ID())
-		saved := ev.ctx.Span
-		ev.ctx.Span = opSpan
-		defer func() { ev.ctx.Span = saved }()
-	}
-	out, err := algebra.Invoke(child, bp, cachingInvoker)
-	if opSpan != nil {
-		opSpan.SetAttrInt("cache_hits", cachingInvoker.hits.Load())
-		opSpan.SetAttrInt("cache_misses", cachingInvoker.misses.Load())
-		if err != nil {
-			opSpan.SetAttr("error", err.Error())
-		}
-		opSpan.Finish()
-	}
+	var out *algebra.XRelation
+	err := tracedInvoke(ctx, bp, func() (hits, misses int64, err error) {
+		out, err = algebra.Invoke(child, bp, cachingInvoker)
+		return cachingInvoker.hits.Load(), cachingInvoker.misses.Load(), err
+	})
 	if err != nil {
 		return nil, err
 	}
 	ev.q.invCache[node] = next
 	return out, nil
+}
+
+// tracedInvoke runs one β operator evaluation. On a sampled tick it wraps
+// run in a "cq.invoke" span carrying the §4.2 cache hits and misses run
+// reports, and makes that span the parent of the per-tuple β spans for the
+// duration (evaluation walks the plan sequentially, so swapping ctx.Span
+// is safe; parallel per-tuple invocations only read it).
+func tracedInvoke(ctx *query.Context, bp schema.BindingPattern, run func() (hits, misses int64, err error)) error {
+	span := ctx.Span.Child("cq.invoke")
+	if span == nil {
+		_, _, err := run()
+		return err
+	}
+	span.SetAttr("bp", bp.ID())
+	saved := ctx.Span
+	ctx.Span = span
+	hits, misses, err := run()
+	ctx.Span = saved
+	span.SetAttrInt("cache_hits", hits)
+	span.SetAttrInt("cache_misses", misses)
+	if err != nil {
+		span.SetAttr("error", err.Error())
+	}
+	span.Finish()
+	return err
 }
 
 // deltaInvoker caches invocation results across instants keyed by

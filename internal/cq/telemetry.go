@@ -676,18 +676,11 @@ func (t *Telemetry) streamStalled(at service.Instant, name string, rels map[stri
 // over sys$ feeds don't self-assess.
 func planBaseStreams(n query.Node, rels map[string]*stream.XDRelation) []string {
 	set := map[string]bool{}
-	var walk func(n query.Node)
-	walk = func(n query.Node) {
-		if b, ok := n.(*query.Base); ok {
-			if x := rels[b.Name]; x != nil && x.Infinite() && !isSystemName(b.Name) {
-				set[b.Name] = true
-			}
-		}
-		for _, c := range n.Children() {
-			walk(c)
+	for _, name := range planBaseNames(n) {
+		if x := rels[name]; x != nil && x.Infinite() && !isSystemName(name) {
+			set[name] = true
 		}
 	}
-	walk(n)
 	out := make([]string, 0, len(set))
 	for name := range set {
 		out = append(out, name)

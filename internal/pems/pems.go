@@ -265,14 +265,18 @@ func (p *PEMS) OneShot(src string) (*query.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	at := p.exec.Now()
-	if at < 0 {
-		at = 0
-	}
+	return query.EvaluateCtx(n, p.oneShotContext())
+}
+
+// oneShotContext is the evaluation context of a one-shot query: the
+// environment at the last executed tick (0 before any tick), with the
+// engine's invocation parallelism and batching.
+func (p *PEMS) oneShotContext() *query.Context {
+	at := max(p.exec.Now(), 0)
 	ctx := query.NewContext(p.Env(at), p.registry, at)
 	ctx.Parallelism = p.invocationParallelism()
 	ctx.BatchSize = p.invocationBatchSize()
-	return query.EvaluateCtx(n, ctx)
+	return ctx
 }
 
 // OneShotSQL compiles and evaluates a one-shot Serena SQL query.
@@ -282,14 +286,7 @@ func (p *PEMS) OneShotSQL(src string) (*query.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	at := p.exec.Now()
-	if at < 0 {
-		at = 0
-	}
-	ctx := query.NewContext(p.Env(at), p.registry, at)
-	ctx.Parallelism = p.invocationParallelism()
-	ctx.BatchSize = p.invocationBatchSize()
-	return query.EvaluateCtx(st.Root, ctx)
+	return query.EvaluateCtx(st.Root, p.oneShotContext())
 }
 
 // RegisterQuerySQL compiles a Serena SQL query and registers it as a
@@ -385,20 +382,9 @@ type Explanation struct {
 // Serena Algebra Language.
 func (p *PEMS) Explain(src string) (*Explanation, error) {
 	env := p.snapshotEnv()
-	var n query.Node
-	trimmed := strings.TrimSpace(src)
-	if LooksLikeSQL(trimmed) {
-		st, err := ssql.Compile(trimmed, env)
-		if err != nil {
-			return nil, err
-		}
-		n = st.Root
-	} else {
-		var err error
-		n, err = sal.Parse(trimmed)
-		if err != nil {
-			return nil, err
-		}
+	n, err := parseQuery(src, env)
+	if err != nil {
+		return nil, err
 	}
 	opt := optimizer.New(rewrite.DefaultRules(), optimizer.EnvStats{Env: env}, optimizer.DefaultCostModel())
 	plan, err := opt.Optimize(n, env)
@@ -466,46 +452,24 @@ type TraceReport struct {
 }
 
 // ExplainAnalyze actually executes a query with every operator instrumented
-// (EXPLAIN ANALYZE semantics): the plan tree is rebuilt with tracing
-// wrappers, evaluated at the current instant, and rendered with measured
+// (EXPLAIN ANALYZE semantics): the plan is evaluated at the current instant
+// with one query.OpStats per operator and rendered with the measured
 // per-operator cardinalities and timings. A leading EXPLAIN [ANALYZE]
 // keyword pair in src is accepted and ignored. Beware: active invocations
 // in the query DO fire — EXPLAIN ANALYZE runs the query for real.
 func (p *PEMS) ExplainAnalyze(src string) (*TraceReport, error) {
 	body, _, _ := StripExplain(src)
-	env := p.snapshotEnv()
-	var n query.Node
-	if LooksLikeSQL(body) {
-		st, err := ssql.Compile(body, env)
-		if err != nil {
-			return nil, err
-		}
-		n = st.Root
-	} else {
-		var err error
-		n, err = sal.Parse(body)
-		if err != nil {
-			return nil, err
-		}
-	}
-	traced, err := query.Instrument(n)
+	n, err := parseQuery(body, p.snapshotEnv())
 	if err != nil {
 		return nil, err
 	}
-	at := p.exec.Now()
-	if at < 0 {
-		at = 0
-	}
-	ctx := query.NewContext(p.Env(at), p.registry, at)
-	ctx.Parallelism = p.invocationParallelism()
-	ctx.BatchSize = p.invocationBatchSize()
-	res, err := query.EvaluateCtx(traced, ctx)
-	if err != nil {
-		// A failed evaluation still carries a partial trace (the error is
-		// annotated on the operator that raised it).
-		return &TraceReport{Plan: traced.Render()}, err
-	}
-	return &TraceReport{Plan: traced.Render(), Result: res}, nil
+	ctx := p.oneShotContext()
+	ctx.Ops = query.TrackOps(n)
+	res, err := query.EvaluateCtx(n, ctx)
+	// A failed evaluation still carries a partial trace: the error is
+	// annotated on the operator that raised it and its ancestors, and
+	// operators never reached show calls=0.
+	return &TraceReport{Plan: query.RenderOps(n, ctx.Ops), Result: res}, err
 }
 
 // StripExplain removes an optional leading EXPLAIN [ANALYZE] keyword pair
@@ -533,6 +497,20 @@ func headWord(s string) (word, rest string) {
 		return s, ""
 	}
 	return s[:i], strings.TrimSpace(s[i:])
+}
+
+// parseQuery plans a one-shot query source against env: Serena SQL when it
+// looks like SQL, Serena Algebra Language otherwise.
+func parseQuery(src string, env query.Environment) (query.Node, error) {
+	src = strings.TrimSpace(src)
+	if LooksLikeSQL(src) {
+		st, err := ssql.Compile(src, env)
+		if err != nil {
+			return nil, err
+		}
+		return st.Root, nil
+	}
+	return sal.Parse(src)
 }
 
 // LooksLikeSQL reports whether a query source is Serena SQL rather than

@@ -1,6 +1,7 @@
 package pems_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -100,5 +101,49 @@ func TestPEMSResilienceFacade(t *testing.T) {
 	if states := p.BreakerStates(); len(states) != 0 {
 		// Unknown-service errors never reach a breaker — nothing tracked.
 		t.Fatalf("unexpected breaker states: %v", states)
+	}
+}
+
+// TestExplainAnalyzeFailingQuery runs EXPLAIN ANALYZE on a one-shot query
+// whose β fails (one-shot evaluation fails fast): the error comes back
+// with the partial plan, annotated on the failing operator and every
+// ancestor it aborted, while the operand never reached shows calls=0.
+func TestExplainAnalyzeFailingQuery(t *testing.T) {
+	p := pems.New()
+	defer p.Close()
+	if err := p.ExecuteDDL(resilienceScript + `
+EXTENDED RELATION rooms ( dev SERVICE, room STRING );
+INSERT INTO rooms VALUES (ghost, "lab");
+`); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.ExplainAnalyze(`EXPLAIN ANALYZE project[room](join(invoke[getTemperature](probes), rooms))`)
+	if err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("err = %v, want the failed invocation on ghost", err)
+	}
+	if rep == nil || rep.Result != nil {
+		t.Fatalf("report = %+v, want a plan and no result", rep)
+	}
+	lines := strings.Split(strings.TrimRight(rep.Plan, "\n"), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("plan has %d lines, want 5:\n%s", len(lines), rep.Plan)
+	}
+	for i, want := range []struct {
+		prefix, stats string
+		failed        bool
+	}{
+		{"project[room]", "calls=1 rows_in=0 rows_out=0", true},
+		{"  join", "calls=1 rows_in=0 rows_out=0", true},
+		{"    invoke[getTemperature]", "calls=1 rows_in=1 rows_out=0", true},
+		{"      probes", "calls=1 rows_in=0 rows_out=1", false},
+		{"    rooms", "calls=0 rows_in=0 rows_out=0 time=0s self=0s", false},
+	} {
+		l := lines[i]
+		if !strings.HasPrefix(l, want.prefix+" ") || !strings.Contains(l, want.stats) {
+			t.Errorf("line %d = %q, want %q … %q", i, l, want.prefix, want.stats)
+		}
+		if got := strings.Contains(l, " error=") && strings.Contains(l, "ghost"); got != want.failed {
+			t.Errorf("line %d = %q: error annotation %v, want %v", i, l, got, want.failed)
+		}
 	}
 }

@@ -37,7 +37,7 @@ func (a *Aggregate) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (a *Aggregate) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := a.Child.Eval(ctx)
+	c, err := ctx.Eval(a.Child)
 	if err != nil {
 		return nil, err
 	}

@@ -101,7 +101,7 @@ func (p *Project) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (p *Project) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := p.Child.Eval(ctx)
+	c, err := ctx.Eval(p.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func (s *Select) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (s *Select) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := s.Child.Eval(ctx)
+	c, err := ctx.Eval(s.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func (r *Rename) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (r *Rename) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := r.Child.Eval(ctx)
+	c, err := ctx.Eval(r.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +218,11 @@ func (j *Join) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (j *Join) Eval(ctx *Context) (*algebra.XRelation, error) {
-	l, err := j.Left.Eval(ctx)
+	l, err := ctx.Eval(j.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := j.Right.Eval(ctx)
+	r, err := ctx.Eval(j.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -282,11 +282,11 @@ func (s *SetOp) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (s *SetOp) Eval(ctx *Context) (*algebra.XRelation, error) {
-	l, err := s.Left.Eval(ctx)
+	l, err := ctx.Eval(s.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.Right.Eval(ctx)
+	r, err := ctx.Eval(s.Right)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +342,7 @@ func (a *Assign) ResultSchema(env Environment) (*schema.Extended, error) {
 
 // Eval implements Node.
 func (a *Assign) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := a.Child.Eval(ctx)
+	c, err := ctx.Eval(a.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -397,15 +397,19 @@ func (i *Invoke) ResultSchema(env Environment) (*schema.Extended, error) {
 	return schema.InvokeSchema(cs, bp)
 }
 
-// Eval implements Node.
+// Eval implements Node. A continuous context hands the evaluated operand
+// to its EvalInvoke hook (Section 4.2 invocation semantics).
 func (i *Invoke) Eval(ctx *Context) (*algebra.XRelation, error) {
-	c, err := i.Child.Eval(ctx)
+	c, err := ctx.Eval(i.Child)
 	if err != nil {
 		return nil, err
 	}
 	bp, err := i.resolveBP(c.Schema())
 	if err != nil {
 		return nil, err
+	}
+	if ctx.Continuous != nil {
+		return ctx.Continuous.EvalInvoke(i, c, bp, ctx)
 	}
 	return algebra.Invoke(c, bp, ctx)
 }
@@ -498,12 +502,17 @@ func (s *Stream) ResultSchema(env Environment) (*schema.Extended, error) {
 	return s.Child.ResultSchema(env)
 }
 
-// Eval implements Node. One-shot evaluation rejects streaming.
+// Eval implements Node. One-shot evaluation rejects streaming; a
+// continuous context hands the evaluated operand to its EvalStream hook.
 func (s *Stream) Eval(ctx *Context) (*algebra.XRelation, error) {
 	if ctx.Continuous == nil {
 		return nil, fmt.Errorf("query: stream[%s] requires a continuous execution context (Section 4)", s.Kind)
 	}
-	return ctx.Continuous.EvalStream(s, ctx)
+	c, err := ctx.Eval(s.Child)
+	if err != nil {
+		return nil, err
+	}
+	return ctx.Continuous.EvalStream(s, c, ctx)
 }
 
 // Children implements Node.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"serena/internal/algebra"
 	"serena/internal/obs"
@@ -137,12 +138,19 @@ func (s *ActionSet) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// ContinuousHooks is implemented by the continuous executor (internal/cq)
-// to give Window and Stream nodes their time-aware semantics. One-shot
-// evaluation leaves it nil.
+// ContinuousHooks is implemented by the continuous executor's naive
+// evaluator (internal/cq) to give the plan its Section 4 semantics: Window
+// reads the last instants of a stream, Stream emits S[·] deltas across
+// instants, and Invoke fires only for newly inserted operand tuples. The
+// relational operators need no hook — over instantaneous relations they
+// are the one-shot algebra. Stream and Invoke receive their operand
+// already evaluated through Context.Eval; a window's operand is a stream,
+// which no instantaneous environment holds. One-shot evaluation leaves the
+// hooks nil.
 type ContinuousHooks interface {
 	EvalWindow(w *Window, ctx *Context) (*algebra.XRelation, error)
-	EvalStream(s *Stream, ctx *Context) (*algebra.XRelation, error)
+	EvalStream(s *Stream, child *algebra.XRelation, ctx *Context) (*algebra.XRelation, error)
+	EvalInvoke(i *Invoke, child *algebra.XRelation, bp schema.BindingPattern, ctx *Context) (*algebra.XRelation, error)
 }
 
 // Context carries everything one evaluation needs: the environment, the
@@ -161,6 +169,14 @@ type Context struct {
 	// Continuous is set by the continuous executor; nil for one-shot
 	// queries.
 	Continuous ContinuousHooks
+
+	// Ops, when set, holds the OpStats Eval records into, one per tracked
+	// plan node (EXPLAIN ANALYZE installs TrackOps of its plan). Nil —
+	// the common case — records nothing.
+	Ops map[Node]*OpStats
+	// opIn accumulates the rows returned by the operands of the tracked
+	// node being evaluated: that node's rows_in.
+	opIn *int64
 
 	// OnInvokeError, when non-nil, observes every physical invocation
 	// failure (unreachable device, remote error, open breaker). With
@@ -259,6 +275,36 @@ func NewContext(env Environment, reg *service.Registry, at service.Instant) *Con
 		Actions:  NewActionSet(),
 		Memo:     service.NewMemo(at),
 	}
+}
+
+// Eval evaluates a plan node at the context's instant. It is the one call
+// through which operators evaluate their operands, so with Ops set it
+// records each tracked node's OpStats: rows_in is what the node's operands
+// returned, rows_out what it returned, wall the time of its subtree, and a
+// failure is recorded on the node that raised it and on every ancestor it
+// aborts. Recording is not safe for concurrent Eval calls on one context;
+// plans are walked sequentially (only the invocations inside β fan out).
+func (c *Context) Eval(n Node) (*algebra.XRelation, error) {
+	st := c.Ops[n]
+	if st == nil {
+		return n.Eval(c)
+	}
+	var in int64
+	parentIn := c.opIn
+	c.opIn = &in
+	start := time.Now()
+	r, err := n.Eval(c)
+	wall := time.Since(start)
+	c.opIn = parentIn
+	var out int64
+	if err == nil {
+		out = int64(r.Len())
+	}
+	if parentIn != nil {
+		*parentIn += out
+	}
+	st.Record(in, out, wall, err)
+	return r, err
 }
 
 // Invoke implements algebra.Invoker: it records actions for active binding

@@ -36,7 +36,7 @@ func EvaluateCtx(q Node, ctx *Context) (*Result, error) {
 			defer root.Finish()
 		}
 	}
-	rel, err := q.Eval(ctx)
+	rel, err := ctx.Eval(q)
 	ctx.PublishObsStats()
 	if err != nil {
 		return nil, err

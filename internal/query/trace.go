@@ -3,161 +3,116 @@ package query
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
-
-	"serena/internal/algebra"
-	"serena/internal/schema"
+	"unicode/utf8"
 )
 
-// Traced wraps one operator of a query tree and records, across Eval calls,
-// how many times it ran, how many rows it produced, and how much wall time
-// the subtree consumed — the raw material of EXPLAIN ANALYZE.
-//
-// Because every Node evaluates its children internally, tracing a tree
-// means REBUILDING it: Instrument reconstructs each operator with Traced
-// children, so child evaluations route through their wrappers. The original
-// tree is left untouched and may keep running elsewhere.
-//
-// A Traced tree is NOT safe for concurrent Eval calls (one-shot plans are
-// evaluated sequentially; only the invocations inside a β node fan out, and
-// those are counted by the service layer, not here).
-type Traced struct {
-	inner Node      // reconstruction of orig whose direct children are Traced
-	orig  Node      // the wrapped operator, for labels
-	kids  []*Traced // trace wrappers of the children, in order
-
-	calls   int64
-	rowsOut int64
-	wall    time.Duration
-	err     error // last evaluation error, if any
+// OpStats is one plan operator's cumulative execution record — the raw
+// material of EXPLAIN ANALYZE: how many times it ran, how many rows its
+// operands fed it and it produced, the wall time of the subtree rooted at
+// it, and its last error. Two producers fill it: Context.Eval, for every
+// node Context.Ops tracks (one-shot EXPLAIN ANALYZE), and the continuous
+// executor's delta program, on every tick. RenderOps prints it. The fields
+// are atomics, so a report may read them while evaluation runs.
+type OpStats struct {
+	calls, rowsIn, rowsOut, wallNS atomic.Int64
+	err                            atomic.Pointer[error]
 }
 
-// Instrument rebuilds the plan with every operator wrapped in a Traced
-// node. Evaluate the returned root as usual (it implements Node); then
-// render the recorded trace with Render.
-func Instrument(n Node) (*Traced, error) {
-	kids := n.Children()
-	tkids := make([]*Traced, len(kids))
-	nodes := make([]Node, len(kids))
-	for i, c := range kids {
-		tc, err := Instrument(c)
-		if err != nil {
-			return nil, err
-		}
-		tkids[i] = tc
-		nodes[i] = tc
-	}
-	rebuilt, err := withChildren(n, nodes)
+// Record adds one evaluation of the operator.
+func (s *OpStats) Record(rowsIn, rowsOut int64, wall time.Duration, err error) {
+	s.calls.Add(1)
+	s.rowsIn.Add(rowsIn)
+	s.rowsOut.Add(rowsOut)
+	s.wallNS.Add(int64(wall))
 	if err != nil {
-		return nil, err
+		last := err // scoped here so the error-free path stays allocation-free
+		s.err.Store(&last)
 	}
-	return &Traced{inner: rebuilt, orig: n, kids: tkids}, nil
 }
-
-// withChildren reconstructs an operator with replacement children (same
-// per-type shape as the rewriter's reconstruction — there is no generic way
-// to swap children on the AST).
-func withChildren(n Node, kids []Node) (Node, error) {
-	want := len(n.Children())
-	if len(kids) != want {
-		return nil, fmt.Errorf("query: trace: %T wants %d children, got %d", n, want, len(kids))
-	}
-	switch t := n.(type) {
-	case *Base:
-		return t, nil
-	case *Project:
-		return &Project{Child: kids[0], Attrs: t.Attrs}, nil
-	case *Select:
-		return &Select{Child: kids[0], Formula: t.Formula}, nil
-	case *Rename:
-		return &Rename{Child: kids[0], Old: t.Old, New: t.New}, nil
-	case *Join:
-		return &Join{Left: kids[0], Right: kids[1]}, nil
-	case *SetOp:
-		return &SetOp{Kind: t.Kind, Left: kids[0], Right: kids[1]}, nil
-	case *Assign:
-		return &Assign{Child: kids[0], Attr: t.Attr, Src: t.Src, Const: t.Const}, nil
-	case *Invoke:
-		return &Invoke{Child: kids[0], Proto: t.Proto, ServiceAttr: t.ServiceAttr}, nil
-	case *Aggregate:
-		return &Aggregate{Child: kids[0], GroupBy: t.GroupBy, Aggs: t.Aggs}, nil
-	case *Window:
-		return &Window{Child: kids[0], Period: t.Period}, nil
-	case *Stream:
-		return &Stream{Child: kids[0], Kind: t.Kind}, nil
-	}
-	return nil, fmt.Errorf("query: trace: unsupported node %T", n)
-}
-
-// ResultSchema implements Node.
-func (t *Traced) ResultSchema(env Environment) (*schema.Extended, error) {
-	return t.inner.ResultSchema(env)
-}
-
-// Eval implements Node, recording calls, output cardinality, and wall time
-// of the subtree rooted here.
-func (t *Traced) Eval(ctx *Context) (*algebra.XRelation, error) {
-	start := time.Now()
-	r, err := t.inner.Eval(ctx)
-	t.wall += time.Since(start)
-	t.calls++
-	if err != nil {
-		t.err = err
-		return nil, err
-	}
-	t.rowsOut += int64(r.Len())
-	return r, nil
-}
-
-// Children implements Node.
-func (t *Traced) Children() []Node {
-	out := make([]Node, len(t.kids))
-	for i, k := range t.kids {
-		out[i] = k
-	}
-	return out
-}
-
-// String implements Node (the original operator's rendering).
-func (t *Traced) String() string { return t.orig.String() }
 
 // Calls returns how many times the operator evaluated.
-func (t *Traced) Calls() int64 { return t.calls }
+func (s *OpStats) Calls() int64 { return s.calls.Load() }
+
+// RowsIn returns the cumulative input cardinality (what the operands
+// returned; 0 for a leaf of a one-shot plan, the consumed events for a
+// continuous source).
+func (s *OpStats) RowsIn() int64 { return s.rowsIn.Load() }
 
 // RowsOut returns the cumulative output cardinality.
-func (t *Traced) RowsOut() int64 { return t.rowsOut }
-
-// RowsIn returns the cumulative input cardinality (the sum of the
-// children's outputs; 0 for leaves).
-func (t *Traced) RowsIn() int64 {
-	var in int64
-	for _, k := range t.kids {
-		in += k.rowsOut
-	}
-	return in
-}
+func (s *OpStats) RowsOut() int64 { return s.rowsOut.Load() }
 
 // Wall returns the cumulative wall time of the subtree rooted here.
-func (t *Traced) Wall() time.Duration { return t.wall }
+func (s *OpStats) Wall() time.Duration { return time.Duration(s.wallNS.Load()) }
 
-// Self returns the operator's own wall time: the subtree total minus the
-// children's totals.
-func (t *Traced) Self() time.Duration {
-	self := t.wall
-	for _, k := range t.kids {
-		self -= k.wall
+// Err returns the operator's last evaluation error, nil if it never failed.
+func (s *OpStats) Err() error {
+	if p := s.err.Load(); p != nil {
+		return *p
 	}
-	if self < 0 {
-		self = 0
+	return nil
+}
+
+// TrackOps returns a fresh OpStats for every operator of the plan, to be
+// installed as Context.Ops. Operators the evaluation never reaches keep
+// calls=0.
+func TrackOps(root Node) map[Node]*OpStats {
+	ops := map[Node]*OpStats{}
+	Walk(root, func(n Node) { ops[n] = &OpStats{} })
+	return ops
+}
+
+// RenderOps formats a plan annotated with its operators' stats, one line
+// per operator, children indented under their parent:
+//
+//	select[location = "office"]   calls=1 rows_in=4 rows_out=2 time=1.2ms self=3µs
+//	  invoke[getTemperature]      calls=1 rows_in=4 rows_out=4 time=1.2ms self=1.2ms
+//	    sensors                   calls=1 rows_in=0 rows_out=4 time=2µs self=2µs
+//
+// Only operators present in ops are rendered (a continuous window's base
+// stream, which the delta program reads directly, has no line of its own).
+// time is the subtree's wall time; self subtracts the rendered children's.
+func RenderOps(root Node, ops map[Node]*OpStats) string {
+	type line struct {
+		label string
+		st    *OpStats
+		self  time.Duration
 	}
-	return self
+	var lines []line
+	var walk func(n Node, depth int)
+	walk = func(n Node, depth int) {
+		st := ops[n]
+		if st == nil {
+			return
+		}
+		i := len(lines)
+		lines = append(lines, line{label: strings.Repeat("  ", depth) + opLabel(n), st: st, self: st.Wall()})
+		for _, c := range n.Children() {
+			if cs := ops[c]; cs != nil {
+				lines[i].self -= cs.Wall()
+			}
+			walk(c, depth+1)
+		}
+	}
+	walk(root, 0)
+	width := 0
+	for _, l := range lines {
+		width = max(width, utf8.RuneCountInString(l.label))
+	}
+	var b strings.Builder
+	for _, l := range lines {
+		fmt.Fprintf(&b, "%-*s  calls=%d rows_in=%d rows_out=%d time=%s self=%s",
+			width, l.label, l.st.Calls(), l.st.RowsIn(), l.st.RowsOut(), round(l.st.Wall()), round(max(l.self, 0)))
+		if err := l.st.Err(); err != nil {
+			fmt.Fprintf(&b, " error=%v", err)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // opLabel renders just the operator head (no operands) for plan lines.
-// OpLabel renders a node's operator head (no children) — the label used by
-// EXPLAIN ANALYZE rows and the continuous executor's delta report.
-func OpLabel(n Node) string { return opLabel(n) }
-
 func opLabel(n Node) string {
 	switch t := n.(type) {
 	case *Base:
@@ -191,42 +146,6 @@ func opLabel(n Node) string {
 		return fmt.Sprintf("stream[%s]", t.Kind)
 	}
 	return fmt.Sprintf("%T", n)
-}
-
-// Render formats the recorded trace as an annotated plan, one operator per
-// line, children indented under their parent:
-//
-//	select[location = "office"]   calls=1 rows_in=4 rows_out=2 time=1.2ms self=3µs
-//	  invoke[getTemperature]      calls=1 rows_in=4 rows_out=4 time=1.2ms self=1.2ms
-//	    sensors                   calls=1 rows_in=0 rows_out=4 time=2µs self=2µs
-func (t *Traced) Render() string {
-	var b strings.Builder
-	width := t.labelWidth(0)
-	t.render(&b, 0, width)
-	return b.String()
-}
-
-func (t *Traced) labelWidth(depth int) int {
-	w := 2*depth + len(opLabel(t.orig))
-	for _, k := range t.kids {
-		if kw := k.labelWidth(depth + 1); kw > w {
-			w = kw
-		}
-	}
-	return w
-}
-
-func (t *Traced) render(b *strings.Builder, depth, width int) {
-	label := strings.Repeat("  ", depth) + opLabel(t.orig)
-	fmt.Fprintf(b, "%-*s  calls=%d rows_in=%d rows_out=%d time=%s self=%s",
-		width, label, t.calls, t.RowsIn(), t.rowsOut, round(t.wall), round(t.Self()))
-	if t.err != nil {
-		fmt.Fprintf(b, " error=%v", t.err)
-	}
-	b.WriteByte('\n')
-	for _, k := range t.kids {
-		k.render(b, depth+1, width)
-	}
 }
 
 // round trims durations to microsecond resolution for readability (0 stays

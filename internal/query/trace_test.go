@@ -5,7 +5,16 @@ import (
 	"testing"
 
 	"serena/internal/query"
+	"serena/internal/service"
 )
+
+// analyze evaluates q with every operator tracked, as EXPLAIN ANALYZE does.
+func analyze(q query.Node, env query.Environment, reg *service.Registry) (*query.Result, map[query.Node]*query.OpStats, error) {
+	ctx := query.NewContext(env, reg, 0)
+	ctx.Ops = query.TrackOps(q)
+	res, err := query.EvaluateCtx(q, ctx)
+	return res, ctx.Ops, err
+}
 
 func TestInstrumentPreservesSemantics(t *testing.T) {
 	env, reg, _ := paperSetup()
@@ -13,11 +22,7 @@ func TestInstrumentPreservesSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, err := query.Instrument(q2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := query.Evaluate(traced, env, reg, 0)
+	res, _, err := analyze(q2(), env, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,14 +36,12 @@ func TestInstrumentPreservesSemantics(t *testing.T) {
 
 func TestTracedRecordsCardinalities(t *testing.T) {
 	env, reg, _ := paperSetup()
-	traced, err := query.Instrument(q2())
+	plan := q2()
+	res, ops, err := analyze(plan, env, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := query.Evaluate(traced, env, reg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traced := ops[plan]
 	if traced.Calls() != 1 {
 		t.Fatalf("root calls = %d, want 1", traced.Calls())
 	}
@@ -46,32 +49,28 @@ func TestTracedRecordsCardinalities(t *testing.T) {
 		t.Fatalf("root rows_out = %d, want %d", got, res.Relation.Len())
 	}
 	// The root's input cardinality is its child's output cardinality.
-	kids := traced.Children()
+	kids := plan.Children()
 	if len(kids) != 1 {
 		t.Fatalf("project arity = %d", len(kids))
 	}
-	child := kids[0].(*query.Traced)
+	child := ops[kids[0]]
 	if traced.RowsIn() != child.RowsOut() {
 		t.Fatalf("rows_in %d != child rows_out %d", traced.RowsIn(), child.RowsOut())
 	}
+	// Self time is the parent's wall minus its child's, never negative.
 	if traced.Wall() < child.Wall() {
 		t.Fatalf("parent wall %s < child wall %s", traced.Wall(), child.Wall())
-	}
-	if traced.Self() > traced.Wall() {
-		t.Fatalf("self %s > wall %s", traced.Self(), traced.Wall())
 	}
 }
 
 func TestTracedRender(t *testing.T) {
 	env, reg, _ := paperSetup()
-	traced, err := query.Instrument(q2())
+	plan := q2()
+	_, ops, err := analyze(plan, env, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := query.Evaluate(traced, env, reg, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := traced.Render()
+	out := query.RenderOps(plan, ops)
 	for _, want := range []string{
 		"project[photo]",
 		"invoke[takePhoto]",
@@ -101,11 +100,7 @@ func TestTracedRender(t *testing.T) {
 
 func TestInstrumentActiveQuery(t *testing.T) {
 	env, reg, dev := paperSetup()
-	traced, err := query.Instrument(q1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := query.Evaluate(traced, env, reg, 0)
+	res, _, err := analyze(q1(), env, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,18 @@ import (
 // recovery restores it and replays only the WAL segments written after it.
 // The file is written beside the segments via temp-file + rename, making it
 // atomic: a crash mid-checkpoint leaves the previous one intact.
+//
+// The magic carries the format version. Version 2 added the query stats'
+// Coalesced count; a version-1 checkpoint still loads, with Coalesced 0.
 const (
-	checkpointMagic = "SRNCKPT1"
-	checkpointFile  = "checkpoint"
-	checkpointTmp   = "checkpoint.tmp"
+	checkpointMagic   = "SRNCKPT2"
+	checkpointVersion = 2
+	checkpointFile    = "checkpoint"
+	checkpointTmp     = "checkpoint.tmp"
 )
+
+// checkpointVersions maps every loadable magic to its format version.
+var checkpointVersions = map[string]int{"SRNCKPT1": 1, checkpointMagic: checkpointVersion}
 
 // Checkpoint is one durable snapshot of a pervasive environment.
 type Checkpoint struct {
@@ -81,6 +88,7 @@ func encodeCheckpoint(c *Checkpoint) []byte {
 		e.varint(qs.Stats.Passive)
 		e.varint(qs.Stats.Active)
 		e.varint(qs.Stats.Memoized)
+		e.varint(qs.Stats.Coalesced)
 		e.uvarint(uint64(len(qs.Actions)))
 		for _, a := range qs.Actions {
 			e.str(a.BP)
@@ -91,7 +99,9 @@ func encodeCheckpoint(c *Checkpoint) []byte {
 	return e.buf
 }
 
-func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
+// decodeCheckpoint decodes a checkpoint payload written in the given
+// format version.
+func decodeCheckpoint(payload []byte, version int) (*Checkpoint, error) {
 	d := decoder{buf: payload}
 	c := &Checkpoint{}
 	c.NextSeq = d.u64()
@@ -145,6 +155,9 @@ func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 		qs.Stats.Passive = d.varint()
 		qs.Stats.Active = d.varint()
 		qs.Stats.Memoized = d.varint()
+		if version >= 2 {
+			qs.Stats.Coalesced = d.varint()
+		}
 		na := d.count(1)
 		for j := 0; j < na && d.err == nil; j++ {
 			qs.Actions = append(qs.Actions, query.Action{
@@ -205,7 +218,11 @@ func loadCheckpoint(dir string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(checkpointMagic) || string(data[:len(checkpointMagic)]) != checkpointMagic {
+	var version int
+	if len(data) >= len(checkpointMagic) {
+		version = checkpointVersions[string(data[:len(checkpointMagic)])]
+	}
+	if version == 0 {
 		return nil, fmt.Errorf("wal: checkpoint: bad magic")
 	}
 	rest := data[len(checkpointMagic):]
@@ -214,7 +231,7 @@ func loadCheckpoint(dir string) (*Checkpoint, error) {
 		if c != nil {
 			return fmt.Errorf("wal: checkpoint: extra frame")
 		}
-		dc, derr := decodeCheckpoint(payload)
+		dc, derr := decodeCheckpoint(payload, version)
 		if derr != nil {
 			return derr
 		}

@@ -104,11 +104,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(payload[:len(payload)/2])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		c, err := decodeCheckpoint(payload)
+		c, err := decodeCheckpoint(payload, checkpointVersion)
 		if err != nil {
 			return
 		}
-		back, err := decodeCheckpoint(encodeCheckpoint(c))
+		back, err := decodeCheckpoint(encodeCheckpoint(c), checkpointVersion)
 		if err != nil {
 			t.Fatalf("re-decode of accepted checkpoint failed: %v", err)
 		}

@@ -406,7 +406,7 @@ func testState() cq.CheckpointState {
 
 func TestCheckpointEncodeDecode(t *testing.T) {
 	want := &Checkpoint{NextSeq: 7, Catalog: "-- ddl\nPROTOTYPE p( ) : ( x INTEGER );", State: testState()}
-	got, err := decodeCheckpoint(encodeCheckpoint(want))
+	got, err := decodeCheckpoint(encodeCheckpoint(want), checkpointVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
